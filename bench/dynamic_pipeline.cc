@@ -9,13 +9,11 @@
 //
 // A second dimension compares the two study schedulers (DESIGN.md §13):
 // one full Study per scheduler over the same corpus — the phase-barrier
-// fan-out against the barrier-free per-app pipeline — reporting wall
-// milliseconds each plus the pipeline's peak ready-queue depth and queue
-// lock contention, with a byte-equality guard on the exports (the
+// fan-out against the run-to-completion per-app pipeline — reporting wall
+// milliseconds each, with a byte-equality guard on the exports (the
 // schedulers must agree exactly). Both timed studies run WITHOUT an
 // observer (an attached observer journals every verdict, a cost that once
-// skewed this comparison); queue metrics come from one extra untimed
-// instrumented run. Both schedulers run at an explicit worker count —
+// skewed this comparison). Both schedulers run at an explicit worker count —
 // PINSCOPE_BENCH_THREADS, default max(2, hardware threads) — never at
 // "hardware concurrency" directly: on a single-core CI box that default
 // used to resolve both sides to the inline serial path, making the
@@ -108,12 +106,10 @@ double TimedPass(const store::Ecosystem& eco, bool use_fixtures,
 /// One full Study under `scheduler`; returns wall milliseconds and leaves
 /// the CSV export (the equality guard) in `csv_out`.
 double TimedStudy(const store::Ecosystem& eco, core::SchedulerKind scheduler,
-                  int workers, std::string* csv_out, obs::Observer* observer) {
+                  int workers, std::string* csv_out) {
   core::StudyOptions opts;
   opts.scheduler = scheduler;
   opts.threads = workers;
-  opts.dynamic.parallel_phases = true;
-  opts.observer = observer;
   core::Study study(eco, opts);
   const auto start = std::chrono::steady_clock::now();
   study.Run();
@@ -177,9 +173,9 @@ int main() {
   for (int r = 0; r < reps; ++r) {
     std::string phases_csv, pipeline_csv;
     const double phases_ms = TimedStudy(eco, core::SchedulerKind::kPhases,
-                                        bench_threads, &phases_csv, nullptr);
+                                        bench_threads, &phases_csv);
     const double pipeline_ms = TimedStudy(eco, core::SchedulerKind::kPipeline,
-                                          bench_threads, &pipeline_csv, nullptr);
+                                          bench_threads, &pipeline_csv);
     if (r == 0 || phases_ms < best_phases) best_phases = phases_ms;
     if (r == 0 || pipeline_ms < best_pipeline) best_pipeline = pipeline_ms;
     std::fprintf(stderr,
@@ -192,32 +188,6 @@ int main() {
   }
   const double sched_speedup =
       best_pipeline > 0.0 ? best_phases / best_pipeline : 0.0;
-
-  // Untimed instrumented pipeline run: ready-queue high-water mark plus the
-  // queue-lock contention probe (obs/mutex.h). 0 / absent on single-core
-  // machines, where the scheduler's inline serial path never builds a queue.
-  std::uint64_t peak_depth = 0;
-  std::uint64_t queue_contended = 0;
-  double queue_wait_ms = 0.0;
-  {
-    obs::Observer sched_observer;
-    std::string instrumented_csv;
-    (void)TimedStudy(eco, core::SchedulerKind::kPipeline, bench_threads,
-                     &instrumented_csv, &sched_observer);
-    const obs::MetricsSnapshot snap = sched_observer.metrics().Snapshot();
-    if (const auto it = snap.gauges.find("sched.queue_peak_depth");
-        it != snap.gauges.end()) {
-      peak_depth = it->second;
-    }
-    if (const auto it = snap.counters.find("lock.sched.queue.contended");
-        it != snap.counters.end()) {
-      queue_contended = it->second;
-    }
-    if (const auto it = snap.histograms.find("lock.sched.queue.wait_us");
-        it != snap.histograms.end()) {
-      queue_wait_ms = it->second.sum / 1000.0;
-    }
-  }
 
   const double speedup = best_on > 0.0 ? best_off / best_on : 0.0;
   char json[2048];
@@ -236,18 +206,13 @@ int main() {
       "  \"validation_cache\": {\"lookups\": %zu, \"hits\": %zu, \"misses\": %zu,\n"
       "                       \"entries\": %zu, \"hit_rate\": %.4f},\n"
       "  \"scheduler\": {\"phases_ms\": %.3f, \"pipeline_ms\": %.3f,\n"
-      "                \"speedup\": %.2f, \"workers\": %d,\n"
-      "                \"queue_peak_depth\": %llu,\n"
-      "                \"queue_lock_contended\": %llu,\n"
-      "                \"queue_lock_wait_ms\": %.3f},\n",
+      "                \"speedup\": %.2f, \"workers\": %d},\n",
       on_result.apps, on_result.destinations, scale_pct, reps, best_off,
       best_on, speedup, on_result.pinned, forged.lookups, forged.hits,
       forged.misses, forged.entries, forged.HitRate(), validation.lookups,
       validation.hits, validation.misses, validation.entries,
       validation.HitRate(), best_phases, best_pipeline, sched_speedup,
-      bench_threads,
-      static_cast<unsigned long long>(peak_depth),
-      static_cast<unsigned long long>(queue_contended), queue_wait_ms);
+      bench_threads);
 
   return bench::WriteBenchJsonWithPhases("BENCH_dynamic.json", json,
                                          observer.metrics().Snapshot());

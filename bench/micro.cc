@@ -352,7 +352,6 @@ void BM_FullStudy(benchmark::State& state) {
   for (auto _ : state) {
     core::StudyOptions opts;
     opts.threads = threads;
-    opts.dynamic.parallel_phases = threads != 1;
     core::Study study(eco, opts);
     study.Run();
     apps = study.AllResults(appmodel::Platform::kAndroid).size() +

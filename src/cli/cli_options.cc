@@ -95,16 +95,6 @@ std::optional<CliOptions> ParseArgs(int argc, const char* const* argv) {
         return std::nullopt;
       }
       opts.scheduler = value;
-    } else if (TakeValue(arg, "--queue-depth", cursor, value, ok)) {
-      if (!ok) return std::nullopt;
-      opts.queue_depth = std::atoi(value.c_str());
-      if (opts.queue_depth < 0 ||
-          (opts.queue_depth == 0 && value != "0")) {
-        std::fprintf(stderr, "--queue-depth expects a non-negative integer, "
-                             "got '%s'\n",
-                     value.c_str());
-        return std::nullopt;
-      }
     } else if (TakeOnOff(arg, "--scan-cache", cursor, opts.scan_cache, ok)) {
       if (!ok) return std::nullopt;
     } else if (TakeOnOff(arg, "--sim-cache", cursor, opts.sim_cache, ok)) {

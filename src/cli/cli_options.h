@@ -27,8 +27,6 @@ struct CliOptions {
   /// default) or "phases" (corpus-wide fan-out per platform). Results are
   /// byte-identical either way (DESIGN.md §13).
   std::string scheduler = "pipeline";
-  /// --queue-depth: pipeline ready-queue capacity (0 = 2× worker count).
-  int queue_depth = 0;
   bool scan_cache = true;
   bool sim_cache = true;
   bool summary = true;

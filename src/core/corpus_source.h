@@ -5,7 +5,7 @@
 // A CorpusSource inverts that: the streaming driver asks for one app at a
 // time by (platform, universe index), analyzes it through the full stage
 // chain, and frees it. Peak hydrated-app memory is then bounded by the
-// scheduler's in-flight window (workers + queue depth), not corpus size.
+// scheduler's in-flight window (one app per worker), not corpus size.
 //
 // Hydrate must be a pure function of (platform, index): called twice it
 // returns equal apps, and calling it for index j must not require having

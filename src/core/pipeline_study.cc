@@ -45,8 +45,8 @@ void Study::RunPipelined(obs::EventScope& study_log) {
   }
 
   // Each analysis stage carries its own app-level span (category "app", as
-  // AnalyzeApp's single span does on the phases path) — the two halves of an
-  // app's chain can run on different workers, so one span cannot cover both.
+  // AnalyzeApp's single span does on the phases path), so the trace shows
+  // which stage of an app's chain a worker was in.
   auto app_span = [this, &items, &slots](std::size_t i, const char* stage) {
     return obs::SpanFor(
         options_.observer, slots[i].app->meta.app_id, "app",
@@ -69,7 +69,6 @@ void Study::RunPipelined(obs::EventScope& study_log) {
 
   util::PipelineOptions popts;
   popts.threads = options_.threads;
-  popts.queue_depth = options_.queue_depth;
   popts.max_stage_retries = options_.stage_retries;
   popts.faults = options_.fault_plan;
   popts.trace = obs::TraceOf(options_.observer);

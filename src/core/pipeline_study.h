@@ -4,15 +4,15 @@
 // out with one ParallelMap and joins before touching the next platform — a
 // corpus-wide barrier per platform. The pipelined scheduler instead submits
 // one stage chain per app (static → dynamic → verdict) to
-// util::RunPipeline, so app N can be in dynamic analysis while app N+1 is
-// still being statically scanned, across both platforms at once, and
-// per-app results stream out (StudyOptions::on_result) as each chain
-// completes.
+// util::RunPipeline, which runs each chain to completion on one worker, so
+// app N can be in dynamic analysis while app N+1 is still being statically
+// scanned, across both platforms at once, and per-app results stream out
+// (StudyOptions::on_result) as each chain completes.
 //
 // Determinism: both schedulers run the same per-app stage bodies with the
 // same options, and both merge by universe index, so exports, the decision
 // journal, and run reports are byte-identical between them at any thread
-// count, queue depth, and cache setting (tests/core/sched_equivalence_test.cc).
+// count and cache setting (tests/core/sched_equivalence_test.cc).
 #pragma once
 
 #include <cstddef>

@@ -7,8 +7,8 @@
 // serialized rows (JSON line, CSV field rows, verdict) the moment it
 // finishes, and the final exports replay those rows in the same logical-key
 // order the batch path uses — so streamed exports are byte-identical to
-// materialized ones by construction, independent of thread count, queue
-// depth, and completion order.
+// materialized ones by construction, independent of thread count and
+// completion order.
 //
 // Two retention modes:
 //  - retain_rows = true (default): rows are kept for the Finish* replay and

@@ -17,7 +17,7 @@ namespace {
 
 /// Everything that exists only while one app is in flight. Heap-held so a
 /// finished slot frees back to ~32 bytes; the driver's live memory is then
-/// (workers + queue depth) payloads, not corpus size.
+/// at most one payload per worker, not corpus size.
 struct StreamPayload {
   appmodel::App app;
   AppResult result;  ///< result.app points at `app` above.
@@ -144,7 +144,6 @@ StreamStudyResult RunStreamingStudy(const CorpusSource& source,
 
     util::PipelineOptions popts;
     popts.threads = options.threads;
-    popts.queue_depth = options.queue_depth;
     popts.max_stage_retries = options.stage_retries;
     popts.faults = options.fault_plan;
     popts.trace = obs::TraceOf(observer);

@@ -7,18 +7,18 @@
 // barrier-free scheduler), each app's payload is freed the moment its
 // verdict lands, and results leave through a StreamExporter as serialized
 // rows. Peak hydrated-app memory is bounded by the scheduler's in-flight
-// window (workers + queue depth), independent of corpus size.
+// window (one app per worker), independent of corpus size.
 //
 // Determinism: identical contract to Study::Run. Stage bodies touch only
 // per-item state, every RNG derives from the study seed + app identity, the
 // journal orders by logical keys, and the exporter replays rows in the batch
 // export order — so a streamed study's exports, journal, and run reports are
-// byte-identical to the materialized path across thread counts and queue
-// depths (tests/core/stream_equivalence_test.cc).
+// byte-identical to the materialized path across thread counts
+// (tests/core/stream_equivalence_test.cc).
 //
 // StudyOptions fields honored: dynamic, common_ios_settle_seconds (via
 // CorpusSource::NeedsCommonIosSettle), threads, scan_cache, sim_cache,
-// observer, queue_depth, stage_retries, fault_plan, on_result, cache_dir,
+// observer, stage_retries, fault_plan, on_result, cache_dir,
 // app_filter. `scheduler` is ignored — streaming is inherently pipelined.
 #pragma once
 

@@ -53,9 +53,10 @@ enum class SchedulerKind {
   /// one ParallelMap barrier before the next platform starts. The original
   /// scheduler, kept as the equivalence baseline.
   kPhases,
-  /// Barrier-free per-app stage chains (static → dynamic → verdict) over
-  /// bounded MPMC work queues (core/pipeline_study.h): apps overlap across
-  /// stages and platforms, and results stream out as chains complete.
+  /// Barrier-free per-app stage chains (static → dynamic → verdict), each
+  /// run to completion on one worker (util/pipeline_scheduler.h): apps
+  /// overlap across workers and platforms, and results stream out as
+  /// chains complete.
   kPipeline,
 };
 
@@ -98,7 +99,7 @@ struct StudyOptions {
   obs::Telemetry* telemetry = nullptr;
   /// Optional bounded interval timeline (obs/timeline.h) feeding the run
   /// autopsy (obs/autopsy.h): per-worker stage intervals plus the idle-time
-  /// taxonomy (queue-starved / backpressure / lock-wait / tail-join),
+  /// taxonomy (lock-wait / tail-join / ramp-up),
   /// O(workers · cap) memory at any corpus size. Pipeline scheduler only —
   /// the phase-barrier path has no per-item chains to attribute (a timeline
   /// attached there records nothing). Purely observational: exports,
@@ -109,10 +110,6 @@ struct StudyOptions {
   /// reports either way (`ctest -L sched`); kPhases is the measurement
   /// baseline the equivalence suite compares against.
   SchedulerKind scheduler = SchedulerKind::kPipeline;
-  /// Pipeline scheduler only: ready-queue capacity (0 = 2× the worker
-  /// count). A pure buffering/backpressure knob — results are identical for
-  /// every depth ≥ 1.
-  std::size_t queue_depth = 0;
   /// Pipeline scheduler only: re-run a failed stage this many times before
   /// recording the app's error verdict. Stage bodies overwrite their slot,
   /// so a retried stage replays cleanly.

@@ -129,6 +129,7 @@ std::vector<WorkerBreakdown> BreakdownWorkers(const Timeline& timeline,
     row.backpressure_us = totals.backpressure_us;
     row.lock_wait_us = totals.lock_wait_us;
     row.tail_join_us = totals.tail_join_us;
+    row.ramp_up_us = totals.ramp_up_us;
     row.stage_count = totals.stage_count;
     row.other_us = wall_us - row.attributed_us();
     out.push_back(row);

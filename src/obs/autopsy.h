@@ -10,7 +10,7 @@
 //    predecessor finished *later* (the binding constraint) yields the
 //    app+stage segments whose durations sum to ≈ wall-clock.
 //  * Idle attribution — per worker, where non-busy time went: queue-starved
-//    / backpressure-inline / lock-wait / tail-join (exact accumulator
+//    / backpressure / lock-wait / tail-join / ramp-up (exact accumulator
 //    buckets, never sampled), plus the unattributed residual.
 //  * Folded stacks — `platform;app;stage weight_us` lines for standard
 //    flamegraph tooling (--folded-out).
@@ -62,12 +62,13 @@ struct WorkerBreakdown {
   double backpressure_us = 0;
   double lock_wait_us = 0;
   double tail_join_us = 0;
-  double other_us = 0;  ///< wall − everything above (loop overhead, ramp-up).
+  double ramp_up_us = 0;
+  double other_us = 0;  ///< wall − everything above (claim-loop overhead).
   std::uint64_t stage_count = 0;
 
   [[nodiscard]] double attributed_us() const {
     return busy_us + queue_starved_us + backpressure_us + lock_wait_us +
-           tail_join_us;
+           tail_join_us + ramp_up_us;
   }
 };
 

@@ -165,7 +165,6 @@ TelemetryFrame Telemetry::CaptureFrame(const MetricsSnapshot* snapshot) {
     };
     frame.rss_bytes = gauge("process.rss_bytes");
     frame.peak_rss_bytes = gauge("process.peak_rss_bytes");
-    frame.queue_depth = gauge("sched.queue_size");
     for (const auto& [name, value] : snapshot->counters) {
       const auto it = last_counters_.find(name);
       const std::uint64_t prev = it == last_counters_.end() ? 0 : it->second;
@@ -227,7 +226,6 @@ void Telemetry::WriteHeartbeat(const TelemetryFrame& frame,
                      ", \"rss_bytes\": " + std::to_string(frame.rss_bytes) +
                      ", \"peak_rss_bytes\": " +
                      std::to_string(frame.peak_rss_bytes) +
-                     ", \"queue_depth\": " + std::to_string(frame.queue_depth) +
                      ", \"inflight\": " + std::to_string(frame.inflight) +
                      ", \"stalled_ticks\": " +
                      std::to_string(frame.stalled_ticks);
@@ -294,9 +292,8 @@ void Telemetry::RenderProgress(const TelemetryFrame& frame) {
   std::string line = head;
   char tail[160];
   std::snprintf(tail, sizeof(tail),
-                " | rss %.1f MiB | queue %" PRIu64 " | inflight %" PRIu64,
-                frame.rss_bytes / (1024.0 * 1024.0), frame.queue_depth,
-                frame.inflight);
+                " | rss %.1f MiB | inflight %" PRIu64,
+                frame.rss_bytes / (1024.0 * 1024.0), frame.inflight);
   line += tail;
   for (const auto& [stage, count] : frame.stage_done) {
     line += " | " + stage + " " + std::to_string(count);
@@ -372,7 +369,6 @@ std::string Telemetry::TimelineJson() const {
            ", \"t_ms\": " + JsonNum(f.elapsed_ms) +
            ", \"done\": " + std::to_string(f.done) +
            ", \"rss_bytes\": " + std::to_string(f.rss_bytes) +
-           ", \"queue_depth\": " + std::to_string(f.queue_depth) +
            ", \"inflight\": " + std::to_string(f.inflight) + "}";
   }
   out += first ? "]" : "\n  ]";

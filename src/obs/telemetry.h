@@ -5,8 +5,8 @@
 // traces, and the decision journal materialize after the run ends. A
 // Telemetry instance adds the in-flight view: a background sampler thread
 // that every tick (default 250 ms) captures one bounded ring-buffer frame —
-// MetricsRegistry counter deltas, current/peak VmRSS, scheduler queue depth,
-// per-stage completion counts, in-flight chain count — and drives three
+// MetricsRegistry counter deltas, current/peak VmRSS, per-stage completion
+// counts, in-flight chain count — and drives three
 // live surfaces off that frame stream:
 //
 //   (a) a progress renderer (`--progress=tty|plain|off`) plus a
@@ -100,7 +100,6 @@ struct TelemetryFrame {
   std::uint64_t total = 0;      ///< Expected chains (0 = unknown).
   std::uint64_t rss_bytes = 0;  ///< Current VmRSS (0 where unavailable).
   std::uint64_t peak_rss_bytes = 0;  ///< VmHWM (0 where unavailable).
-  std::uint64_t queue_depth = 0;     ///< sched.queue_size gauge sample.
   std::uint64_t inflight = 0;        ///< Chains currently inside a stage.
   std::uint64_t stalled_ticks = 0;   ///< Watchdog counter at frame time.
   /// Cumulative per-stage completion counts ("hydrate", "static", ...).
@@ -194,7 +193,7 @@ class Telemetry {
   [[nodiscard]] std::vector<StragglerRow> Stragglers(std::size_t k) const;
 
   /// The recorded frames as a JSON array (tick, elapsed_ms, done, rss,
-  /// queue depth) — what bench_stream embeds into BENCH_stream.json so the
+  /// inflight) — what bench_stream embeds into BENCH_stream.json so the
   /// flat-RSS claim is a curve, not a single number.
   [[nodiscard]] std::string TimelineJson() const;
 

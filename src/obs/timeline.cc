@@ -8,7 +8,7 @@ namespace pinscope::obs {
 namespace {
 
 /// The ambient (timeline, worker) binding TrackedMutex waits report into.
-/// One per thread; WorkerScope/AmbientPause save and restore it.
+/// One per thread; TimelineWorkerScope saves and restores it.
 struct Ambient {
   Timeline* timeline = nullptr;
   std::uint32_t worker = 0;
@@ -36,6 +36,8 @@ std::string_view IntervalKindName(IntervalKind kind) {
       return "lock_wait";
     case IntervalKind::kTailJoin:
       return "tail_join";
+    case IntervalKind::kRampUp:
+      return "ramp_up";
   }
   return "?";
 }
@@ -74,6 +76,9 @@ struct Timeline::Lane {
         break;
       case IntervalKind::kTailJoin:
         totals.tail_join_us += us;
+        break;
+      case IntervalKind::kRampUp:
+        totals.ramp_up_us += us;
         break;
     }
     if (totals.intervals_seen == 0 || interval.start_us < totals.first_us) {
@@ -124,6 +129,14 @@ std::uint32_t Timeline::InternStage(std::string_view name) {
   }
   stage_names_.emplace_back(name);
   return static_cast<std::uint32_t>(stage_names_.size() - 1);
+}
+
+void Timeline::ReserveLanes(std::size_t workers) {
+  for (std::size_t w = 0; w < std::min(workers, kMaxLanes); ++w) {
+    Lane& lane = LaneFor(static_cast<std::uint32_t>(w));
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.samples.reserve(options_.per_worker_cap);
+  }
 }
 
 void Timeline::MarkRunStart() {
@@ -305,16 +318,6 @@ TimelineWorkerScope::TimelineWorkerScope(Timeline* timeline,
 }
 
 TimelineWorkerScope::~TimelineWorkerScope() {
-  g_ambient.timeline = prev_timeline_;
-  g_ambient.worker = prev_worker_;
-}
-
-TimelineAmbientPause::TimelineAmbientPause()
-    : prev_timeline_(g_ambient.timeline), prev_worker_(g_ambient.worker) {
-  g_ambient.timeline = nullptr;
-}
-
-TimelineAmbientPause::~TimelineAmbientPause() {
   g_ambient.timeline = prev_timeline_;
   g_ambient.worker = prev_worker_;
 }

@@ -34,17 +34,21 @@
 namespace pinscope::obs {
 
 /// What one recorded interval was spent on. kStage is busy time; the rest
-/// are the idle-attribution taxonomy (DESIGN §17).
+/// are the idle-attribution taxonomy (DESIGN §17). The run-to-completion
+/// scheduler (util/pipeline_scheduler.h) has no ready queue, so it records
+/// neither kQueueStarved nor kBackpressure; both stay in the taxonomy so
+/// every report keeps one column per kind.
 enum class IntervalKind : std::uint8_t {
   kStage,         ///< Running a stage body (attempt loop, incl. retries).
-  kQueueStarved,  ///< Blocked popping an empty ready queue; a task arrived.
-  kBackpressure,  ///< Blocked pushing a full ready queue (submitter only).
+  kQueueStarved,  ///< Blocked waiting for work to arrive.
+  kBackpressure,  ///< Blocked handing work to a full buffer.
   kLockWait,      ///< Waiting on a contended TrackedMutex.
-  kTailJoin,      ///< Final blocked pop that observed queue close.
+  kTailJoin,      ///< From a worker's last chain end to the run's join.
+  kRampUp,        ///< From the run start to a worker's first claim.
 };
 
 /// Number of IntervalKind values (array sizing).
-inline constexpr std::size_t kIntervalKindCount = 5;
+inline constexpr std::size_t kIntervalKindCount = 6;
 
 /// Short lower-case label ("stage", "queue_starved", ...).
 [[nodiscard]] std::string_view IntervalKindName(IntervalKind kind);
@@ -71,6 +75,7 @@ struct TimelineWorkerTotals {
   double backpressure_us = 0;   ///< kBackpressure time.
   double lock_wait_us = 0;      ///< kLockWait time (ambient TrackedMutex).
   double tail_join_us = 0;      ///< kTailJoin time.
+  double ramp_up_us = 0;        ///< kRampUp time.
   std::uint64_t stage_count = 0;      ///< kStage intervals offered.
   std::uint64_t intervals_seen = 0;   ///< All intervals offered (reservoir n).
   std::int64_t first_us = 0;          ///< Earliest interval start (0 if none).
@@ -98,6 +103,13 @@ class Timeline {
   /// Idempotent per name. Call before the workers start.
   std::uint32_t InternStage(std::string_view name);
 
+  /// Allocates the lanes of workers [0, workers) and reserves each
+  /// reservoir up to the cap, so a worker's recordings never allocate: an
+  /// allocation between two intervals (a fresh thread's first malloc maps
+  /// memory) would otherwise be unattributed time. Call before the workers
+  /// start; idempotent.
+  void ReserveLanes(std::size_t workers);
+
   /// Marks the run's wall-clock bounds (scheduler entry/exit). MarkRunEnd
   /// is idempotent; without these the analysis falls back to the recorded
   /// interval extrema.
@@ -108,7 +120,7 @@ class Timeline {
   void RecordStage(std::uint32_t worker, std::uint64_t key, std::uint32_t label,
                    std::int64_t start_us, std::int64_t end_us);
 
-  /// Records one idle interval (kQueueStarved / kBackpressure / kTailJoin).
+  /// Records one idle interval (any kind but kStage / kLockWait).
   void RecordIdle(std::uint32_t worker, IntervalKind kind, std::int64_t start_us,
                   std::int64_t end_us);
 
@@ -192,21 +204,6 @@ class TimelineWorkerScope {
   TimelineWorkerScope(const TimelineWorkerScope&) = delete;
   TimelineWorkerScope& operator=(const TimelineWorkerScope&) = delete;
   ~TimelineWorkerScope();
-
- private:
-  Timeline* prev_timeline_;
-  std::uint32_t prev_worker_;
-};
-
-/// RAII suppression of ambient lock-wait recording: the scheduler wraps its
-/// own timed queue waits with this so a contended queue mutex inside a
-/// kQueueStarved/kBackpressure interval is not double-counted as kLockWait.
-class TimelineAmbientPause {
- public:
-  TimelineAmbientPause();
-  TimelineAmbientPause(const TimelineAmbientPause&) = delete;
-  TimelineAmbientPause& operator=(const TimelineAmbientPause&) = delete;
-  ~TimelineAmbientPause();
 
  private:
   Timeline* prev_timeline_;

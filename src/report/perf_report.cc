@@ -93,14 +93,14 @@ std::string WritePerfReportMarkdown(const PerfReportInput& input) {
     out += "No per-worker intervals recorded.\n\n";
   } else {
     out += "| worker | stages | busy | queue-starved | backpressure | "
-           "lock-wait | tail-join | other | busy % |\n";
-    out += "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
+           "lock-wait | tail-join | ramp-up | other | busy % |\n";
+    out += "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
     for (const obs::WorkerBreakdown& w : a.worker_breakdown) {
       out += "| " + std::to_string(w.worker) + " | " +
              std::to_string(w.stage_count) + " | " + Ms(w.busy_us) + " | " +
              Ms(w.queue_starved_us) + " | " + Ms(w.backpressure_us) + " | " +
              Ms(w.lock_wait_us) + " | " + Ms(w.tail_join_us) + " | " +
-             Ms(w.other_us) + " | " + Pct(w.busy_us, a.wall_us) + " |\n";
+             Ms(w.ramp_up_us) + " | " + Ms(w.other_us) + " | " + Pct(w.busy_us, a.wall_us) + " |\n";
     }
     out += "\nAll durations in ms; buckets partition each worker's wall "
            "clock (DESIGN §17 idle taxonomy).\n\n";
@@ -206,6 +206,8 @@ std::string WritePerfReportJson(const PerfReportInput& input) {
       w.Double(b.lock_wait_us, 1);
       w.Key("tail_join_us");
       w.Double(b.tail_join_us, 1);
+      w.Key("ramp_up_us");
+      w.Double(b.ramp_up_us, 1);
       w.Key("other_us");
       w.Double(b.other_us, 1);
       w.EndObject();

@@ -8,10 +8,9 @@
 // blocks for the next flight, so steady-state allocator traffic is O(1) per
 // flight instead of O(nodes).
 //
-// Threading: an Arena is deliberately NOT synchronized. The dynamic pipeline
-// runs its two capture phases on worker threads (DynamicOptions::
-// parallel_phases); the arena must only be touched after those phases join —
-// detection and report assembly are single-threaded, which is exactly where
+// Threading: an Arena is deliberately NOT synchronized. A flight runs on
+// one thread from capture to report (the study scheduler runs each app's
+// whole chain on one worker), and detection and report assembly are where
 // the scratch lives. Sharing one Arena across concurrently-running flights
 // is a data race; give each flight its own.
 #pragma once

@@ -30,36 +30,25 @@ void SchedulerFaultPlan::MaybeInject(std::size_t stage, std::size_t item) const 
 
 namespace {
 
-/// A ready task: run `stage` of `item`.
-struct Task {
-  std::size_t item = 0;
-  std::size_t stage = 0;
-};
-
 /// Everything one run's workers share.
 struct Run {
   const std::vector<PipelineStage>* stages = nullptr;
   const PipelineOptions* options = nullptr;
   std::size_t n = 0;
 
-  BoundedMpmcQueue<Task> queue;
-  std::atomic<std::size_t> completed{0};
-  std::atomic<std::uint64_t> backpressure{0};
+  /// The next unclaimed item. Claims carry no data between workers (each
+  /// item writes only its own state), so relaxed ordering suffices; the
+  /// joins publish every worker's writes to the caller.
+  std::atomic<std::size_t> next_item{0};
   std::atomic<std::uint64_t> retries{0};
 
   /// Cached metric handles (null-safe no-ops without a registry).
   obs::Counter tasks_counter;
-  obs::Counter backpressure_counter;
   obs::Counter retries_counter;
   obs::Counter failures_counter;
-  obs::Histogram depth_histogram;
 
   /// Timeline label ids, one per stage (empty without a timeline).
   std::vector<std::uint32_t> stage_labels;
-
-  Run(std::size_t n_items, std::size_t capacity,
-      obs::MetricsRegistry* metrics)
-      : n(n_items), queue(capacity, metrics) {}
 
   [[nodiscard]] obs::Timeline* timeline() const { return options->timeline; }
 
@@ -69,14 +58,23 @@ struct Run {
   }
 };
 
-/// Interns every stage name once so workers record labels, not strings.
-void PrepareTimeline(Run& run) {
+/// What one worker leaves behind for the caller to merge after the join.
+struct WorkerState {
+  std::vector<StageFailure> failures;
+  /// Timeline clock at the worker's last chain end (its tail-join start).
+  std::int64_t idle_since_us = 0;
+};
+
+/// Interns every stage name once so workers record labels, not strings,
+/// and allocates every worker's lane up front so recording never allocates.
+void PrepareTimeline(Run& run, int workers) {
   obs::Timeline* timeline = run.timeline();
   if (timeline == nullptr) return;
   run.stage_labels.reserve(run.stages->size());
   for (const PipelineStage& stage : *run.stages) {
     run.stage_labels.push_back(timeline->InternStage(stage.name));
   }
+  timeline->ReserveLanes(static_cast<std::size_t>(workers));
   timeline->MarkRunStart();
 }
 
@@ -85,12 +83,13 @@ void PrepareTimeline(Run& run) {
 /// injected delays and retries count as time inside the stage.
 class StageIntervalScope {
  public:
-  StageIntervalScope(Run& run, const Task& task, int worker)
+  StageIntervalScope(Run& run, std::size_t item, std::size_t stage,
+                     int worker)
       : timeline_(run.timeline()) {
     if (timeline_ == nullptr) return;
     worker_ = static_cast<std::uint32_t>(worker);
-    key_ = run.KeyFor(task.item);
-    label_ = run.stage_labels[task.stage];
+    key_ = run.KeyFor(item);
+    label_ = run.stage_labels[stage];
     start_us_ = timeline_->NowUs();
   }
   StageIntervalScope(const StageIntervalScope&) = delete;
@@ -109,16 +108,16 @@ class StageIntervalScope {
   std::int64_t start_us_ = 0;
 };
 
-/// Runs one stage attempt chain for a task; returns true when the stage
+/// Runs one stage's attempt loop for an item; returns true when the stage
 /// (eventually) succeeded, false when it failed after retries (failure
 /// recorded in `sink`).
-bool RunStageGuarded(Run& run, const Task& task, int worker,
-                     std::vector<StageFailure>& sink) {
-  const PipelineStage& stage = (*run.stages)[task.stage];
+bool RunStageGuarded(Run& run, std::size_t item, std::size_t stage_index,
+                     int worker, std::vector<StageFailure>& sink) {
+  const PipelineStage& stage = (*run.stages)[stage_index];
   const int max_retries = std::max(run.options->max_stage_retries, 0);
   const StageHook& hook = run.options->stage_hook;
-  const StageIntervalScope interval(run, task, worker);
-  if (hook) hook(task.item, task.stage, StageEvent::kBegin);
+  const StageIntervalScope interval(run, item, stage_index, worker);
+  if (hook) hook(item, stage_index, StageEvent::kBegin);
   std::string message;
   for (int attempt = 0; attempt <= max_retries; ++attempt) {
     if (attempt > 0) {
@@ -127,7 +126,7 @@ bool RunStageGuarded(Run& run, const Task& task, int worker,
     }
     try {
       if (run.options->faults != nullptr) {
-        run.options->faults->MaybeInject(task.stage, task.item);
+        run.options->faults->MaybeInject(stage_index, item);
       }
       const obs::Span span =
           run.options->trace == nullptr
@@ -135,10 +134,10 @@ bool RunStageGuarded(Run& run, const Task& task, int worker,
               : obs::Span(run.options->trace,
                           std::string(run.options->trace_label) + "." +
                               stage.name,
-                          "sched", {{"item", std::to_string(task.item)}});
-      stage.body(task.item);
+                          "sched", {{"item", std::to_string(item)}});
+      stage.body(item);
       run.tasks_counter.Increment();
-      if (hook) hook(task.item, task.stage, StageEvent::kEnd);
+      if (hook) hook(item, stage_index, StageEvent::kEnd);
       return true;
     } catch (const std::exception& e) {
       message = e.what();
@@ -146,103 +145,40 @@ bool RunStageGuarded(Run& run, const Task& task, int worker,
       message = "unknown exception";
     }
   }
-  sink.push_back({task.item, task.stage, stage.name, std::move(message)});
+  sink.push_back({item, stage_index, stage.name, std::move(message)});
   run.failures_counter.Increment();
-  if (hook) hook(task.item, task.stage, StageEvent::kFailed);
+  if (hook) hook(item, stage_index, StageEvent::kFailed);
   return false;
 }
 
-/// Marks one item's chain finished (success or failure); the last completion
-/// closes the queue so blocked poppers drain out.
-void CompleteItem(Run& run) {
-  if (run.completed.fetch_add(1, std::memory_order_acq_rel) + 1 == run.n) {
-    run.queue.Close();
-  }
-}
-
-/// Pushes a ready task without ever blocking: on a full queue the *caller*
-/// runs the continuation, which is what bounds in-flight work. Returns the
-/// task to run inline, if any.
-std::optional<Task> PushOrKeep(Run& run, Task task) {
-  if (run.queue.TryPush(task)) {
-    run.depth_histogram.Record(static_cast<double>(run.queue.Size()));
-    return std::nullopt;
-  }
-  run.backpressure.fetch_add(1, std::memory_order_relaxed);
-  run.backpressure_counter.Increment();
-  return task;
-}
-
-/// Executes `first` and all of its inline continuations, advancing the item
-/// through its chain until a push succeeds, the chain ends, or a stage fails.
-void DrainChain(Run& run, Task first, int worker,
-                std::vector<StageFailure>& sink) {
-  Task task = first;
-  for (;;) {
-    if (!RunStageGuarded(run, task, worker, sink)) {
-      CompleteItem(run);  // failed: remaining stages are skipped
-      return;
-    }
-    if (task.stage + 1 == run.stages->size()) {
-      CompleteItem(run);
-      return;
-    }
-    const std::optional<Task> inline_task =
-        PushOrKeep(run, {task.item, task.stage + 1});
-    if (!inline_task.has_value()) return;  // someone else continues the chain
-    task = *inline_task;
-  }
-}
-
-/// Pops the next task, timing any blocked wait into the worker's timeline
-/// lane: a wait that eventually yielded a task is queue starvation, a wait
-/// that observed the close is the tail join. The ambient pause keeps a
-/// contended queue mutex inside the timed wait from double-counting as
-/// kLockWait.
-std::optional<Task> PopTimed(Run& run, int worker) {
+/// Claims items until the cursor passes n, running each claimed item's
+/// whole chain in order; a failed stage skips the rest of that chain. With
+/// a timeline, the time from the run start to the first claim is recorded
+/// as the worker's ramp-up (thread spawn and start-up).
+void WorkerLoop(Run& run, int worker, WorkerState& state) {
   obs::Timeline* timeline = run.timeline();
-  if (timeline == nullptr) return run.queue.Pop();
-  std::optional<Task> task = run.queue.TryPop();
-  if (task.has_value()) return task;
-  const obs::TimelineAmbientPause pause;
-  const std::int64_t start = timeline->NowUs();
-  task = run.queue.Pop();
-  timeline->RecordIdle(static_cast<std::uint32_t>(worker),
-                       task.has_value() ? obs::IntervalKind::kQueueStarved
-                                        : obs::IntervalKind::kTailJoin,
-                       start, timeline->NowUs());
-  return task;
-}
-
-void WorkerLoop(Run& run, int worker, std::vector<StageFailure>& sink) {
-  const obs::TimelineWorkerScope ambient(
-      run.timeline(), static_cast<std::uint32_t>(worker));
+  const auto lane = static_cast<std::uint32_t>(worker);
+  const obs::TimelineWorkerScope ambient(timeline, lane);
   const obs::Span span =
       run.options->trace == nullptr
           ? obs::Span()
           : obs::Span(run.options->trace,
                       std::string(run.options->trace_label) + ".worker",
                       "sched", {{"worker", std::to_string(worker)}});
-  while (const std::optional<Task> task = PopTimed(run, worker)) {
-    DrainChain(run, *task, worker, sink);
+  if (timeline != nullptr) {
+    timeline->RecordIdle(lane, obs::IntervalKind::kRampUp,
+                         timeline->RunStartUs(), timeline->NowUs());
   }
-}
-
-/// Blocking seed push with backpressure timing on the submitter's lane
-/// (worker 0): a full queue at seed time means every worker is busy and
-/// the buffer is at capacity — classic upstream backpressure.
-void SeedPush(Run& run, Task task) {
-  obs::Timeline* timeline = run.timeline();
-  if (timeline == nullptr) {
-    run.queue.Push(task);
-  } else if (!run.queue.TryPush(task)) {
-    const obs::TimelineAmbientPause pause;
-    const std::int64_t start = timeline->NowUs();
-    run.queue.Push(task);
-    timeline->RecordIdle(0, obs::IntervalKind::kBackpressure, start,
-                         timeline->NowUs());
+  const std::size_t n_stages = run.stages->size();
+  for (;;) {
+    const std::size_t item =
+        run.next_item.fetch_add(1, std::memory_order_relaxed);
+    if (item >= run.n) break;
+    for (std::size_t s = 0; s < n_stages; ++s) {
+      if (!RunStageGuarded(run, item, s, worker, state.failures)) break;
+    }
   }
-  run.depth_histogram.Record(static_cast<double>(run.queue.Size()));
+  if (timeline != nullptr) state.idle_since_us = timeline->NowUs();
 }
 
 }  // namespace
@@ -254,99 +190,53 @@ PipelineResult RunPipeline(std::size_t n,
   if (n == 0 || stages.empty()) return result;
 
   const int workers = ResolveThreads(options.threads, n);
-
-  if (workers <= 1) {
-    // Inline serial path: the chain order is the only ordering there is.
-    Run run(n, 1, options.metrics);
-    run.stages = &stages;
-    run.options = &options;
-    PrepareTimeline(run);
-    if (options.metrics != nullptr) {
-      run.tasks_counter = options.metrics->counter("sched.tasks");
-      run.retries_counter = options.metrics->counter("sched.retries");
-      run.failures_counter = options.metrics->counter("sched.failures");
-    }
-    {
-      const obs::TimelineWorkerScope ambient(options.timeline, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t s = 0; s < stages.size(); ++s) {
-          if (!RunStageGuarded(run, {i, s}, 0, result.failures)) break;
-        }
-      }
-    }
-    result.retries = run.retries.load(std::memory_order_relaxed);
-    if (options.metrics != nullptr) {
-      // Keep the metric surface identical to the threaded path: an inline
-      // run has no ready queue, so its peak depth is 0.
-      options.metrics->gauge("sched.queue_peak_depth").Set(0);
-    }
-    if (options.timeline != nullptr) options.timeline->MarkRunEnd();
-    return result;
-  }
-
-  const std::size_t depth =
-      options.queue_depth > 0
-          ? options.queue_depth
-          : std::max<std::size_t>(2 * static_cast<std::size_t>(workers), 2);
-  Run run(n, depth, options.metrics);
+  Run run;
   run.stages = &stages;
   run.options = &options;
-  PrepareTimeline(run);
+  run.n = n;
   if (options.metrics != nullptr) {
     run.tasks_counter = options.metrics->counter("sched.tasks");
-    run.backpressure_counter =
-        options.metrics->counter("sched.backpressure_inline");
     run.retries_counter = options.metrics->counter("sched.retries");
     run.failures_counter = options.metrics->counter("sched.failures");
-    run.depth_histogram = options.metrics->histogram(
-        "sched.queue_depth", {1, 2, 4, 8, 16, 32, 64, 128, 256});
   }
+  PrepareTimeline(run, workers);
 
-  // Every worker collects failures privately; merged and sorted below so the
-  // reported failure set is independent of scheduling.
-  std::vector<std::vector<StageFailure>> per_worker(
-      static_cast<std::size_t>(workers));
+  // The caller is worker 0; one worker means no thread is spawned at all.
+  std::vector<WorkerState> states(static_cast<std::size_t>(workers));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers) - 1);
   for (int w = 1; w < workers; ++w) {
-    pool.emplace_back([&run, &per_worker, w] {
-      WorkerLoop(run, w, per_worker[static_cast<std::size_t>(w)]);
+    pool.emplace_back([&run, &states, w] {
+      WorkerLoop(run, w, states[static_cast<std::size_t>(w)]);
     });
   }
-
-  // Seed stage 0 for every item, in item order (FIFO per stage). Blocking
-  // pushes are safe here: workers always return to Pop, and the queue cannot
-  // close before the last seed lands (an unseeded item is never complete).
-  // With a timeline the submitter's blocked pushes are timed as worker 0's
-  // backpressure (it becomes worker 0 right after the seeds).
-  {
-    const obs::TimelineWorkerScope ambient(options.timeline, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      SeedPush(run, {i, 0});
-    }
-  }
-  // All seeds in: the submitter becomes worker 0 until the run drains.
-  WorkerLoop(run, 0, per_worker[0]);
+  WorkerLoop(run, 0, states[0]);
   for (std::thread& t : pool) t.join();
 
-  for (auto& sink : per_worker) {
+  // Each worker idled from its last chain end until the last worker
+  // finished and the caller returned from the joins: its tail join.
+  if (obs::Timeline* timeline = options.timeline) {
+    timeline->MarkRunEnd();
+    const std::int64_t end_us = timeline->RunEndUs();
+    for (std::size_t w = 0; w < states.size(); ++w) {
+      timeline->RecordIdle(static_cast<std::uint32_t>(w),
+                           obs::IntervalKind::kTailJoin,
+                           states[w].idle_since_us, end_us);
+    }
+  }
+
+  // Failures were collected per worker; merged and sorted here so the
+  // reported failure set is independent of scheduling.
+  for (WorkerState& state : states) {
     result.failures.insert(result.failures.end(),
-                           std::make_move_iterator(sink.begin()),
-                           std::make_move_iterator(sink.end()));
+                           std::make_move_iterator(state.failures.begin()),
+                           std::make_move_iterator(state.failures.end()));
   }
   std::sort(result.failures.begin(), result.failures.end(),
             [](const StageFailure& a, const StageFailure& b) {
               return a.item != b.item ? a.item < b.item : a.stage < b.stage;
             });
-  result.peak_queue_depth = run.queue.PeakSize();
-  result.backpressure_inline_runs =
-      run.backpressure.load(std::memory_order_relaxed);
   result.retries = run.retries.load(std::memory_order_relaxed);
-  if (options.metrics != nullptr) {
-    options.metrics->gauge("sched.queue_peak_depth")
-        .Set(result.peak_queue_depth);
-  }
-  if (options.timeline != nullptr) options.timeline->MarkRunEnd();
   return result;
 }
 

@@ -26,7 +26,6 @@ TEST(ParseArgsTest, DefaultsMatchDocumentedHelp) {
   EXPECT_EQ(opts->seed, 42u);
   EXPECT_EQ(opts->threads, 0);
   EXPECT_EQ(opts->scheduler, "pipeline");
-  EXPECT_EQ(opts->queue_depth, 0);
   EXPECT_TRUE(opts->scan_cache);
   EXPECT_TRUE(opts->sim_cache);
   EXPECT_TRUE(opts->summary);
@@ -90,16 +89,13 @@ TEST(ParseArgsTest, OnOffFlagsAcceptBothSpellings) {
 }
 
 TEST(ParseArgsTest, SchedulerFlagsAcceptBothSpellings) {
-  const auto spaced =
-      Parse({"study", "--scheduler", "phases", "--queue-depth", "8"});
+  const auto spaced = Parse({"study", "--scheduler", "phases"});
   ASSERT_TRUE(spaced.has_value());
   EXPECT_EQ(spaced->scheduler, "phases");
-  EXPECT_EQ(spaced->queue_depth, 8);
 
-  const auto eq = Parse({"study", "--scheduler=pipeline", "--queue-depth=0"});
+  const auto eq = Parse({"study", "--scheduler=pipeline"});
   ASSERT_TRUE(eq.has_value());
   EXPECT_EQ(eq->scheduler, "pipeline");
-  EXPECT_EQ(eq->queue_depth, 0);
 }
 
 TEST(ParseArgsTest, LogLevelAcceptsEverySeverity) {
@@ -122,8 +118,8 @@ TEST(ParseArgsTest, RejectsBadValues) {
   EXPECT_FALSE(Parse({"study", "--threads", "-1"}).has_value());
   EXPECT_FALSE(Parse({"study", "--scheduler", "greedy"}).has_value());
   EXPECT_FALSE(Parse({"study", "--scheduler="}).has_value());
-  EXPECT_FALSE(Parse({"study", "--queue-depth", "-2"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--queue-depth", "lots"}).has_value());
+  // Retired: the scheduler has no ready queue to size.
+  EXPECT_FALSE(Parse({"study", "--queue-depth", "8"}).has_value());
   EXPECT_FALSE(Parse({"study", "--scale", "0"}).has_value());
   EXPECT_FALSE(Parse({"study", "--scale", "1.5"}).has_value());
 }

@@ -34,6 +34,7 @@
 #include "obs/timeline.h"
 #include "store/generator.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -137,8 +138,7 @@ TEST_P(AutopsyEquivalenceTest, MaterializedExportsIdenticalTimelineOnOrOff) {
   ASSERT_FALSE(reference.json.empty());
   ASSERT_FALSE(reference.journal.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::Timeline timeline;
     const RunBytes live = RunMaterialized(eco, threads, &timeline);
@@ -153,8 +153,7 @@ TEST_P(AutopsyEquivalenceTest, StreamedExportsIdenticalTimelineOnOrOff) {
       RunStreamed(eco, /*threads=*/1, /*timeline=*/nullptr);
   ASSERT_FALSE(reference.json.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::Timeline timeline;
     const RunBytes live = RunStreamed(eco, threads, &timeline);

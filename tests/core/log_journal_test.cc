@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/export.h"
@@ -17,6 +16,7 @@
 #include "obs/obs.h"
 #include "report/run_report.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -25,7 +25,6 @@ Study RunStudy(const store::Ecosystem& eco, int threads,
                obs::Observer* observer) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   opts.observer = observer;
   Study study(eco, opts);
   study.Run();
@@ -50,8 +49,8 @@ TEST_P(LogJournalTest, JournalIsByteIdenticalAcrossThreadCounts) {
   const std::string reference = JournalFor(eco, 1, obs::Severity::kDebug);
   ASSERT_FALSE(reference.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
+    if (threads == 1) continue;  // the reference above
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(reference, JournalFor(eco, threads, obs::Severity::kDebug));
   }

@@ -12,12 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
 #include "core/export.h"
 #include "core/study.h"
 #include "obs/obs.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -26,7 +26,6 @@ Study RunStudy(const store::Ecosystem& eco, int threads,
                obs::Observer* observer) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   opts.observer = observer;
   Study study(eco, opts);
   study.Run();
@@ -44,8 +43,7 @@ TEST_P(ObsEquivalenceTest, ObserverNeverChangesAnyExportByte) {
   ASSERT_FALSE(json.empty());
   ASSERT_FALSE(csv.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::Observer observer;
     const Study observed = RunStudy(eco, threads, &observer);

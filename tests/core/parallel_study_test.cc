@@ -1,17 +1,17 @@
 // Determinism-equivalence suite: the parallel study must be bit-identical
 // to the serial one. For several generation seeds, the same ecosystem is
-// analyzed at threads ∈ {1, 4, hardware_concurrency} (with the two-phase
-// pipeline fan-out on for the threaded runs) and every observable output is
-// compared: the JSON/CSV dataset exports byte for byte, plus the Table 3
+// analyzed at threads ∈ {1, 4, hardware_concurrency, 0 = auto} and every
+// observable output is compared: the JSON/CSV dataset exports byte for byte, plus the Table 3
 // prevalence rows and Figure 2-4 consistency structs field by field.
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <vector>
 
 #include "core/analyses.h"
 #include "core/export.h"
 #include "core/study.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -22,7 +22,6 @@ using store::DatasetId;
 Study RunStudy(const store::Ecosystem& eco, int threads) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   Study study(eco, opts);
   study.Run();
   return study;
@@ -81,8 +80,10 @@ TEST_P(DeterminismEquivalenceTest, ThreadCountNeverChangesAnyExportByte) {
   ASSERT_FALSE(json.empty());
   ASSERT_FALSE(csv.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {4, hw > 0 ? hw : 2, 0}) {
+  std::vector<int> grid = pinscope::testing::ThreadGrid();
+  grid.push_back(0);  // hardware concurrency, resolved by the study itself
+  for (const int threads : grid) {
+    if (threads == 1) continue;  // the serial reference above
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const Study parallel = RunStudy(eco, threads);
     // Byte-identical exports are the headline guarantee…
@@ -111,22 +112,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismEquivalenceTest,
                          [](const ::testing::TestParamInfo<std::uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });
-
-TEST(ParallelStudyTest, ParallelPhasesAloneAreByteIdenticalToSerial) {
-  // Isolates the pipeline's two-phase fan-out from the per-app fan-out.
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(3);
-  StudyOptions serial_opts;
-  Study serial(eco, serial_opts);
-  serial.Run();
-
-  StudyOptions phase_opts;
-  phase_opts.dynamic.parallel_phases = true;
-  Study phased(eco, phase_opts);
-  phased.Run();
-
-  EXPECT_EQ(ExportStudyJson(serial), ExportStudyJson(phased));
-  EXPECT_EQ(ExportStudyCsv(serial), ExportStudyCsv(phased));
-}
 
 }  // namespace
 }  // namespace pinscope::core

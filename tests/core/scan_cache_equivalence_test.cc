@@ -6,11 +6,10 @@
 // determinism-equivalence suite, with the cache knob as the variable.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "core/export.h"
 #include "core/study.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -18,7 +17,6 @@ namespace {
 Study RunStudy(const store::Ecosystem& eco, int threads, bool scan_cache) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   opts.scan_cache = scan_cache;
   Study study(eco, opts);
   study.Run();
@@ -37,8 +35,7 @@ TEST_P(ScanCacheEquivalenceTest, CacheNeverChangesAnyExportByte) {
   ASSERT_FALSE(json.empty());
   ASSERT_FALSE(csv.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const Study cached = RunStudy(eco, threads, /*scan_cache=*/true);
     EXPECT_EQ(json, ExportStudyJson(cached));

@@ -7,9 +7,9 @@
 //   (c) run-report Markdown + JSON (built from verdicts + journal — the
 //       wall-clock metrics section describes the run, not the results, so
 //       it is excluded by construction),
-// byte for byte. Queue depth is also proven immaterial to results, and the
-// sched.* metrics are checked to be real (tasks counted, peak depth bounded
-// by the configured capacity) without ever touching an exported byte.
+// byte for byte. The sched.* metrics are also checked to be real (tasks
+// counted, no failures, no scheduler lock to contend) without ever touching
+// an exported byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/export.h"
@@ -25,6 +24,7 @@
 #include "obs/obs.h"
 #include "report/run_report.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -42,7 +42,6 @@ struct RunConfig {
   SchedulerKind scheduler = SchedulerKind::kPipeline;
   int threads = 1;
   bool caches = true;
-  std::size_t queue_depth = 0;
 };
 
 RunOutput RunStudy(const store::Ecosystem& eco, const RunConfig& config,
@@ -56,8 +55,6 @@ RunOutput RunStudy(const store::Ecosystem& eco, const RunConfig& config,
   StudyOptions opts;
   opts.scheduler = config.scheduler;
   opts.threads = config.threads;
-  opts.queue_depth = config.queue_depth;
-  opts.dynamic.parallel_phases = config.threads != 1;
   opts.scan_cache = config.caches;
   opts.sim_cache = config.caches;
   opts.observer = &observer;
@@ -103,8 +100,7 @@ TEST_P(SchedEquivalenceTest, PipelineMatchesPhasesAcrossTheFullGrid) {
     ASSERT_FALSE(reference.json.empty());
     ASSERT_FALSE(reference.journal.empty());
 
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+    for (const int threads : pinscope::testing::ThreadGrid()) {
       SCOPED_TRACE("caches=" + std::to_string(caches) +
                    " threads=" + std::to_string(threads));
       ExpectSameBytes(reference,
@@ -117,28 +113,13 @@ TEST_P(SchedEquivalenceTest, PipelineMatchesPhasesAcrossTheFullGrid) {
   }
 }
 
-TEST_P(SchedEquivalenceTest, QueueDepthNeverChangesAByte) {
-  const store::Ecosystem& eco =
-      pinscope::testing::MakeStudyCorpus(GetParam());
-  const RunOutput reference = RunStudy(
-      eco, {.scheduler = SchedulerKind::kPipeline, .threads = 4});
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{64}}) {
-    SCOPED_TRACE("queue_depth=" + std::to_string(depth));
-    ExpectSameBytes(reference,
-                    RunStudy(eco, {.scheduler = SchedulerKind::kPipeline,
-                                   .threads = 4, .queue_depth = depth}));
-  }
-}
-
 TEST_P(SchedEquivalenceTest, SchedMetricsAreRealAndPurelyObservational) {
   const store::Ecosystem& eco =
       pinscope::testing::MakeStudyCorpus(GetParam());
   obs::Observer observer;
   const RunOutput out = RunStudy(
       eco,
-      {.scheduler = SchedulerKind::kPipeline, .threads = 4, .queue_depth = 2},
-      &observer);
+      {.scheduler = SchedulerKind::kPipeline, .threads = 4}, &observer);
   ASSERT_FALSE(out.json.empty());
 
   const obs::MetricsSnapshot snap = observer.metrics().Snapshot();
@@ -147,9 +128,9 @@ TEST_P(SchedEquivalenceTest, SchedMetricsAreRealAndPurelyObservational) {
   EXPECT_EQ(snap.counters.at("sched.tasks"),
             3 * snap.counters.at("study.apps_analyzed"));
   EXPECT_EQ(snap.counters.at("sched.failures"), 0u);  // clean run
-  // The configured capacity is a hard bound on the observed peak.
-  ASSERT_TRUE(snap.gauges.count("sched.queue_peak_depth"));
-  EXPECT_LE(snap.gauges.at("sched.queue_peak_depth"), 2u);
+  EXPECT_EQ(snap.counters.at("sched.retries"), 0u);
+  // Workers claim items from one atomic cursor: no scheduler lock exists.
+  EXPECT_EQ(snap.counters.count("lock.sched.queue.contended"), 0u);
 }
 
 TEST_P(SchedEquivalenceTest, StreamedResultsMatchExportedVerdictSet) {
@@ -162,7 +143,6 @@ TEST_P(SchedEquivalenceTest, StreamedResultsMatchExportedVerdictSet) {
   StudyOptions opts;
   opts.scheduler = SchedulerKind::kPipeline;
   opts.threads = 4;
-  opts.dynamic.parallel_phases = true;
   opts.on_result = [&](const AppResult& r) {
     std::lock_guard<std::mutex> lock(mu);
     streamed.push_back(r.app->meta.app_id);

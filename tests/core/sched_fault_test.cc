@@ -51,7 +51,6 @@ FaultRun RunPipelined(const store::Ecosystem& eco,
   StudyOptions opts;
   opts.scheduler = SchedulerKind::kPipeline;
   opts.threads = 4;
-  opts.dynamic.parallel_phases = true;
   opts.fault_plan = plan;
   opts.stage_retries = retries;
   opts.observer = &observer;

@@ -7,11 +7,10 @@
 // scan-cache suite proves for the static layer.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "core/export.h"
 #include "core/study.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -19,7 +18,6 @@ namespace {
 Study RunStudy(const store::Ecosystem& eco, int threads, bool sim_cache) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   opts.sim_cache = sim_cache;
   Study study(eco, opts);
   study.Run();
@@ -38,8 +36,7 @@ TEST_P(SimCacheEquivalenceTest, FixturesNeverChangeAnyExportByte) {
   ASSERT_FALSE(json.empty());
   ASSERT_FALSE(csv.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const Study cached = RunStudy(eco, threads, /*sim_cache=*/true);
     EXPECT_EQ(json, ExportStudyJson(cached));
@@ -94,7 +91,6 @@ TEST_P(SimCacheEquivalenceTest, BothCacheLayersComposeCleanly) {
       SCOPED_TRACE("scan=" + std::to_string(scan) + " sim=" + std::to_string(sim));
       StudyOptions opts;
       opts.threads = 4;
-      opts.dynamic.parallel_phases = true;
       opts.scan_cache = scan;
       opts.sim_cache = sim;
       Study study(eco, opts);

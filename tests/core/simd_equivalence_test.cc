@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/export.h"
@@ -25,6 +24,7 @@
 #include "report/run_report.h"
 #include "staticanalysis/prefilter.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -58,7 +58,6 @@ RunOutput RunStudy(const store::Ecosystem& eco, int threads) {
 
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   opts.observer = &observer;
   Study study(eco, opts);
   study.Run();
@@ -84,8 +83,7 @@ class SimdEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SimdEquivalenceTest, SimdAndPortableScansExportIdenticalBytes) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(GetParam());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const RunOutput simd = RunStudy(eco, threads);
     ASSERT_FALSE(simd.json.empty());

@@ -3,7 +3,7 @@
 //  1. Streamed == materialized: a streaming run over an EcosystemCorpusSource
 //     exports byte-identical JSON/CSV (and an identical verdict set) to the
 //     batch Study over the same ecosystem, for every cell of
-//     seeds {7, 23} × threads {1, 4, hardware} × queue depths {1, 2, 64}.
+//     seeds {7, 23} × threads {1, 4, hardware}.
 //  2. Warm == cold: re-running with a persisted --cache-dir changes no
 //     exported byte, and a damaged cache file silently degrades to a cold
 //     start with — again — identical bytes.
@@ -19,7 +19,6 @@
 #include <functional>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "core/study.h"
 #include "store/generator.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 
 namespace pinscope::core {
 namespace {
@@ -57,7 +57,6 @@ std::string RenderVerdicts(const std::vector<report::AppVerdict>& verdicts) {
 
 struct StreamConfig {
   int threads = 1;
-  std::size_t queue_depth = 0;
   std::string cache_dir;
   std::function<bool(appmodel::Platform, std::size_t)> app_filter;
 };
@@ -67,7 +66,6 @@ RunBytes RunStreamed(const store::Ecosystem& eco, const StreamConfig& config,
   const EcosystemCorpusSource source(eco);
   StudyOptions opts;
   opts.threads = config.threads;
-  opts.queue_depth = config.queue_depth;
   opts.cache_dir = config.cache_dir;
   opts.app_filter = config.app_filter;
   StreamExporter local;
@@ -102,17 +100,11 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesMaterializedAcrossTheGrid) {
   const RunBytes reference = RunMaterialized(eco, /*threads=*/1);
   ASSERT_FALSE(reference.json.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
-    for (const std::size_t depth : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{64}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " queue_depth=" + std::to_string(depth));
-      StreamConfig config;
-      config.threads = threads;
-      config.queue_depth = depth;
-      ExpectSameBytes(reference, RunStreamed(eco, config));
-    }
+  for (const int threads : pinscope::testing::ThreadGrid()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StreamConfig config;
+    config.threads = threads;
+    ExpectSameBytes(reference, RunStreamed(eco, config));
   }
 }
 

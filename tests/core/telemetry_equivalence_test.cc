@@ -20,9 +20,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/corpus_source.h"
@@ -35,6 +35,7 @@
 #include "obs/telemetry.h"
 #include "store/generator.h"
 #include "testing/fixtures.h"
+#include "testing/thread_grid.h"
 #include "util/pipeline_scheduler.h"
 
 namespace pinscope::core {
@@ -175,8 +176,7 @@ TEST_P(TelemetryEquivalenceTest, MaterializedExportsIdenticalTelemetryOnOrOff) {
   ASSERT_FALSE(reference.json.empty());
   ASSERT_FALSE(reference.journal.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const RunBytes live = RunMaterialized(
         eco, threads, /*with_telemetry=*/true,
@@ -191,8 +191,7 @@ TEST_P(TelemetryEquivalenceTest, StreamedExportsIdenticalTelemetryOnOrOff) {
       RunStreamed(eco, /*threads=*/1, /*with_telemetry=*/false, "sref");
   ASSERT_FALSE(reference.json.empty());
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+  for (const int threads : pinscope::testing::ThreadGrid()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const RunBytes live = RunStreamed(
         eco, threads, /*with_telemetry=*/true,
@@ -275,15 +274,16 @@ TEST(TelemetryStreamScaleTest, RingStaysBoundedWhileACorpusStreamsThrough) {
   config.seed = 7;
   config.apps_per_platform = 256;  // 512 chains >> the 16-frame ring
   config.payload_bytes = 2048;
-  // Unique payloads with embedded PEM blocks: every scan pays a real parse,
-  // so the stream outlasts many 1 ms sampler ticks even on a fast machine.
   config.unique_payload = true;
   config.pem_certs_in_payload = 3;
   const SyntheticCorpusSource source(config);
 
+  // Manual mode, ticked from the result stream every 8th chain: the ring
+  // overflows four times over however fast the machine streams, while the
+  // workers keep calling the stage hooks concurrently with each tick.
   obs::Observer observer;
   obs::TelemetryOptions topts;
-  topts.interval_ms = 1;
+  topts.interval_ms = 0;
   topts.ring_capacity = 16;
   obs::Telemetry telemetry(&observer.metrics(), topts);
 
@@ -291,6 +291,12 @@ TEST(TelemetryStreamScaleTest, RingStaysBoundedWhileACorpusStreamsThrough) {
   opts.threads = 2;
   opts.observer = &observer;
   opts.telemetry = &telemetry;
+  std::mutex tick_mu;
+  std::size_t results = 0;
+  opts.on_result = [&](const AppResult&) {
+    const std::lock_guard<std::mutex> lock(tick_mu);
+    if (++results % 8 == 0) telemetry.Tick();
+  };
   StreamExporter exporter;
   telemetry.Start();
   (void)RunStreamingStudy(source, opts, exporter);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "dynamicanalysis/device.h"
+#include "obs/obs.h"
 #include "testing/fixtures.h"
 
 namespace pinscope::dynamicanalysis {
@@ -121,6 +125,46 @@ TEST(PipelineTest, DeterministicForFixedSeed) {
   for (std::size_t i = 0; i < a.destinations.size(); ++i) {
     EXPECT_EQ(a.destinations[i].pinned, b.destinations[i].pinned);
     EXPECT_EQ(a.destinations[i].circumvented, b.destinations[i].circumvented);
+  }
+}
+
+TEST(PipelineTest, ParallelPhasesFlagChangesNoReportOrJournalByte) {
+  // The flag is retired: both captures always run back to back on the
+  // calling thread, so flipping it must leave every output untouched.
+  const auto world = MakeWorld();
+  for (const appmodel::Platform platform :
+       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
+    SCOPED_TRACE(std::string(appmodel::PlatformName(platform)));
+    const auto app = MakePinningApp(world, platform);
+    const auto run = [&](bool parallel_phases) {
+      obs::Observer observer;
+      obs::EventLog log(obs::Severity::kDebug);
+      observer.set_log(&log);
+      DynamicOptions opts;
+      opts.seed = 777;
+      opts.parallel_phases = parallel_phases;
+      opts.observer = &observer;
+      DynamicReport report = RunDynamicAnalysis(app, world, opts);
+      observer.set_log(nullptr);
+      return std::make_pair(std::move(report), log.ToJsonl());
+    };
+    const auto [off, off_journal] = run(false);
+    const auto [on, on_journal] = run(true);
+    EXPECT_FALSE(off_journal.empty());
+    EXPECT_EQ(off_journal, on_journal);
+    EXPECT_EQ(off.app_id, on.app_id);
+    ASSERT_EQ(off.destinations.size(), on.destinations.size());
+    for (std::size_t i = 0; i < off.destinations.size(); ++i) {
+      const DestinationReport& a = off.destinations[i];
+      const DestinationReport& b = on.destinations[i];
+      EXPECT_EQ(a.hostname, b.hostname);
+      EXPECT_EQ(a.pinned, b.pinned);
+      EXPECT_EQ(a.used_baseline, b.used_baseline);
+      EXPECT_EQ(a.weak_cipher, b.weak_cipher);
+      EXPECT_EQ(a.circumvented, b.circumvented);
+      EXPECT_EQ(a.pii, b.pii);
+      EXPECT_EQ(a.served_chain.size(), b.served_chain.size());
+    }
   }
 }
 

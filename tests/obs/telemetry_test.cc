@@ -298,6 +298,9 @@ TEST(TelemetryTest, HeartbeatIsMonotoneParseableJsonlWithPhasePercentiles) {
     EXPECT_NE(line.find("\"phase.static\""), std::string::npos);
     EXPECT_NE(line.find("\"p50_us\""), std::string::npos);
     EXPECT_NE(line.find("\"p99_us\""), std::string::npos);
+    EXPECT_NE(line.find("\"inflight\": "), std::string::npos);
+    // No scheduler queue exists, so no frame reports one.
+    EXPECT_EQ(line.find("queue"), std::string::npos);
     last_tick = tick;
     last_done = done;
   }
@@ -391,6 +394,7 @@ TEST(TelemetryTest, PlainProgressRendersOneLinePerTick) {
   EXPECT_NE(out.find("2/2 apps (100.0%)"), std::string::npos);
   EXPECT_NE(out.find("| rss "), std::string::npos);
   EXPECT_NE(out.find("| inflight "), std::string::npos);
+  EXPECT_EQ(out.find("| queue "), std::string::npos);
   // Plain mode is pipeable: no carriage returns, no escape codes.
   EXPECT_EQ(out.find('\r'), std::string::npos);
   EXPECT_EQ(out.find('\x1b'), std::string::npos);
@@ -409,6 +413,8 @@ TEST(TelemetryTest, TimelineJsonIsAWellFormedFrameArray) {
   EXPECT_NE(json.find("{\"tick\": 1"), std::string::npos);
   EXPECT_NE(json.find("{\"tick\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"rss_bytes\""), std::string::npos);
+  EXPECT_NE(json.find("\"inflight\""), std::string::npos);
+  EXPECT_EQ(json.find("queue_depth"), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'), 2);
 }
 

@@ -23,11 +23,13 @@ TEST(TimelineTest, IntervalKindNamesAreStable) {
   EXPECT_EQ(IntervalKindName(IntervalKind::kBackpressure), "backpressure");
   EXPECT_EQ(IntervalKindName(IntervalKind::kLockWait), "lock_wait");
   EXPECT_EQ(IntervalKindName(IntervalKind::kTailJoin), "tail_join");
+  EXPECT_EQ(IntervalKindName(IntervalKind::kRampUp), "ramp_up");
 }
 
 TEST(TimelineTest, TotalsAccumulateExactlyPerKindAndWorker) {
   Timeline timeline;
   const std::uint32_t stage = timeline.InternStage("static");
+  timeline.RecordIdle(/*worker=*/0, IntervalKind::kRampUp, 4, 10);
   timeline.RecordStage(/*worker=*/0, /*key=*/7, stage, 10, 110);
   timeline.RecordStage(0, 8, stage, 110, 160);
   timeline.RecordIdle(0, IntervalKind::kQueueStarved, 160, 200);
@@ -43,9 +45,10 @@ TEST(TimelineTest, TotalsAccumulateExactlyPerKindAndWorker) {
   EXPECT_DOUBLE_EQ(w0.busy_us, 150.0);
   EXPECT_DOUBLE_EQ(w0.queue_starved_us, 40.0);
   EXPECT_DOUBLE_EQ(w0.lock_wait_us, 0.0);
+  EXPECT_DOUBLE_EQ(w0.ramp_up_us, 6.0);
   EXPECT_EQ(w0.stage_count, 2u);
-  EXPECT_EQ(w0.intervals_seen, 3u);
-  EXPECT_EQ(w0.first_us, 10);
+  EXPECT_EQ(w0.intervals_seen, 4u);
+  EXPECT_EQ(w0.first_us, 4);
   EXPECT_EQ(w0.last_us, 200);
 
   const TimelineWorkerTotals w1 = timeline.TotalsFor(1);
@@ -56,7 +59,7 @@ TEST(TimelineTest, TotalsAccumulateExactlyPerKindAndWorker) {
   EXPECT_EQ(w1.stage_count, 0u);
 
   EXPECT_EQ(timeline.WorkerCount(), 2u);
-  EXPECT_EQ(timeline.IntervalsSeen(), 6u);
+  EXPECT_EQ(timeline.IntervalsSeen(), 7u);
 }
 
 TEST(TimelineTest, SamplesAreSortedAndCarryInternedLabels) {
@@ -149,29 +152,6 @@ TEST(TimelineTest, ContendedTrackedMutexLandsInTheAmbientWorkerLane) {
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].kind, IntervalKind::kLockWait);
   EXPECT_EQ(timeline.LockName(samples[0].label), "test_lock");
-}
-
-TEST(TimelineTest, AmbientPauseSuppressesLockWaitAttribution) {
-  Timeline timeline;
-  TrackedMutex mu;
-  mu.Attach(nullptr, "paused_lock");
-
-  mu.lock();
-  std::atomic<bool> thread_blocked{false};
-  std::thread contender([&] {
-    TimelineWorkerScope ambient(&timeline, 0);
-    TimelineAmbientPause pause;  // e.g. inside a timed queue wait
-    thread_blocked.store(true);
-    mu.lock();
-    mu.unlock();
-  });
-  while (!thread_blocked.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  mu.unlock();
-  contender.join();
-
-  EXPECT_DOUBLE_EQ(timeline.TotalsFor(0).lock_wait_us, 0.0);
-  EXPECT_EQ(timeline.IntervalsSeen(), 0u);
 }
 
 TEST(TimelineTest, NoAmbientScopeMeansContentionRecordsNothing) {

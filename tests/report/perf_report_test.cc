@@ -40,7 +40,8 @@ obs::Autopsy FixedAutopsy() {
   w0.busy_us = 9000;
   w0.queue_starved_us = 600;
   w0.lock_wait_us = 150;
-  w0.other_us = 250;
+  w0.ramp_up_us = 50;
+  w0.other_us = 200;
   w0.stage_count = 4;
   a.worker_breakdown = {w0};
 
@@ -76,6 +77,7 @@ TEST(PerfReportTest, MarkdownCarriesEverySectionAndResolvedLabels) {
   EXPECT_NE(md.find("## Run"), std::string::npos);
   EXPECT_NE(md.find("## Critical path"), std::string::npos);
   EXPECT_NE(md.find("## Worker utilization"), std::string::npos);
+  EXPECT_NE(md.find("| ramp-up |"), std::string::npos);
   EXPECT_NE(md.find("## Slowest apps"), std::string::npos);
   EXPECT_NE(md.find("## Lock contention"), std::string::npos);
   EXPECT_NE(md.find("android"), std::string::npos);
@@ -101,6 +103,7 @@ TEST(PerfReportTest, JsonTwinCarriesTheStructuredSections) {
   const std::string json = WritePerfReportJson(input);
   EXPECT_NE(json.find("\"critical_path\""), std::string::npos);
   EXPECT_NE(json.find("\"workers_breakdown\""), std::string::npos);
+  EXPECT_NE(json.find("\"ramp_up_us\""), std::string::npos);
   EXPECT_NE(json.find("\"slowest\""), std::string::npos);
   EXPECT_NE(json.find("\"locks\""), std::string::npos);
   EXPECT_NE(json.find("\"scan_cache\""), std::string::npos);

@@ -1,14 +1,13 @@
-// Unit + property tests for the bounded MPMC queue and the barrier-free
-// pipeline scheduler (util/pipeline_scheduler.h): FIFO order per stage,
-// blocking push at capacity, no task lost or duplicated across worker
-// counts and queue depths, clean shutdown with in-flight work, failure
-// isolation + retries, and per-item dependency ordering under a seeded
-// random perturbation of stage timings.
+// Unit + property tests for the run-to-completion pipeline scheduler
+// (util/pipeline_scheduler.h): no task lost or duplicated across worker
+// counts, every stage of an item on one thread in chain order, at most
+// `workers` items in flight, clean shutdown with in-flight work, failure
+// isolation + retries, per-item dependency ordering under a seeded random
+// perturbation of stage timings, and idle attribution on the timeline.
 #include "util/pipeline_scheduler.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -17,133 +16,16 @@
 #include <thread>
 #include <vector>
 
+#include "obs/timeline.h"
+#include "testing/thread_grid.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace pinscope::util {
 namespace {
 
 using namespace std::chrono_literals;
-
-// --- BoundedMpmcQueue ----------------------------------------------------
-
-TEST(BoundedMpmcQueueTest, PopsInPushOrderFifo) {
-  BoundedMpmcQueue<int> queue(128);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(queue.TryPush(i));
-  for (int i = 0; i < 100; ++i) {
-    const auto popped = queue.TryPop();
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(*popped, i);
-  }
-  EXPECT_FALSE(queue.TryPop().has_value());
-}
-
-TEST(BoundedMpmcQueueTest, TryPushRefusesWhenFull) {
-  BoundedMpmcQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));
-  EXPECT_EQ(queue.Size(), 2u);
-}
-
-TEST(BoundedMpmcQueueTest, PushBlocksAtCapacityUntilAPopMakesRoom) {
-  BoundedMpmcQueue<int> queue(2);
-  ASSERT_TRUE(queue.Push(1));
-  ASSERT_TRUE(queue.Push(2));
-
-  std::atomic<bool> third_pushed{false};
-  std::thread pusher([&] {
-    ASSERT_TRUE(queue.Push(3));  // must block: the queue is at capacity
-    third_pushed.store(true);
-  });
-  std::this_thread::sleep_for(50ms);
-  EXPECT_FALSE(third_pushed.load());  // still blocked
-
-  EXPECT_EQ(queue.Pop().value(), 1);  // makes room; the pusher completes
-  pusher.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_EQ(queue.Pop().value(), 3);
-}
-
-TEST(BoundedMpmcQueueTest, PopBlocksUntilAPushArrives) {
-  BoundedMpmcQueue<int> queue(4);
-  std::atomic<int> popped{0};
-  std::thread popper([&] { popped.store(queue.Pop().value()); });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_EQ(popped.load(), 0);
-  ASSERT_TRUE(queue.Push(42));
-  popper.join();
-  EXPECT_EQ(popped.load(), 42);
-}
-
-TEST(BoundedMpmcQueueTest, CloseDrainsInFlightItemsThenEndsStreams) {
-  BoundedMpmcQueue<int> queue(8);
-  ASSERT_TRUE(queue.Push(1));
-  ASSERT_TRUE(queue.Push(2));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(3));     // closed: push refused
-  EXPECT_FALSE(queue.TryPush(3));
-  EXPECT_EQ(queue.Pop().value(), 1);  // in-flight items still drain
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_FALSE(queue.Pop().has_value());  // then end-of-stream
-}
-
-TEST(BoundedMpmcQueueTest, CloseWakesBlockedPushersAndPoppers) {
-  BoundedMpmcQueue<int> full(1);
-  ASSERT_TRUE(full.Push(1));
-  std::thread blocked_pusher([&] { EXPECT_FALSE(full.Push(2)); });
-  BoundedMpmcQueue<int> empty(1);
-  std::thread blocked_popper([&] { EXPECT_FALSE(empty.Pop().has_value()); });
-  std::this_thread::sleep_for(20ms);
-  full.Close();
-  empty.Close();
-  blocked_pusher.join();
-  blocked_popper.join();
-}
-
-TEST(BoundedMpmcQueueTest, TracksPeakSizeHighWaterMark) {
-  BoundedMpmcQueue<int> queue(8);
-  ASSERT_TRUE(queue.TryPush(1));
-  ASSERT_TRUE(queue.TryPush(2));
-  ASSERT_TRUE(queue.TryPush(3));
-  (void)queue.TryPop();
-  (void)queue.TryPop();
-  ASSERT_TRUE(queue.TryPush(4));
-  EXPECT_EQ(queue.PeakSize(), 3u);
-  EXPECT_EQ(queue.Size(), 2u);
-}
-
-TEST(BoundedMpmcQueueTest, ConcurrentProducersAndConsumersLoseNothing) {
-  BoundedMpmcQueue<int> queue(4);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 3;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(queue.Push(p * kPerProducer + i));
-      }
-    });
-  }
-  std::atomic<int> sum{0};
-  std::atomic<int> count{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      while (const auto v = queue.Pop()) {
-        sum.fetch_add(*v);
-        count.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.Close();
-  for (auto& t : consumers) t.join();
-  const int n = kProducers * kPerProducer;
-  EXPECT_EQ(count.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
 
 // --- RunPipeline ---------------------------------------------------------
 
@@ -171,25 +53,78 @@ std::vector<PipelineStage> CountingStages(ExecutionMatrix& matrix,
 
 class PipelineThreadsTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(PipelineThreadsTest, NoTaskLostOrDuplicatedAtAnyQueueDepth) {
-  const int threads = GetParam();
+TEST_P(PipelineThreadsTest, NoTaskLostOrDuplicated) {
   constexpr std::size_t kItems = 200;
   constexpr std::size_t kStages = 3;
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
-    SCOPED_TRACE("depth=" + std::to_string(depth));
-    ExecutionMatrix matrix(kItems, kStages);
-    PipelineOptions options;
-    options.threads = threads;
-    options.queue_depth = depth;
-    const PipelineResult result =
-        RunPipeline(kItems, CountingStages(matrix, kStages), options);
-    EXPECT_TRUE(result.failures.empty());
-    for (std::size_t i = 0; i < kItems; ++i) {
-      for (std::size_t s = 0; s < kStages; ++s) {
-        EXPECT_EQ(matrix.at(i, s).load(), 1) << "item " << i << " stage " << s;
-      }
+  ExecutionMatrix matrix(kItems, kStages);
+  PipelineOptions options;
+  options.threads = GetParam();
+  const PipelineResult result =
+      RunPipeline(kItems, CountingStages(matrix, kStages), options);
+  EXPECT_TRUE(result.failures.empty());
+  for (std::size_t i = 0; i < kItems; ++i) {
+    for (std::size_t s = 0; s < kStages; ++s) {
+      EXPECT_EQ(matrix.at(i, s).load(), 1) << "item " << i << " stage " << s;
     }
   }
+}
+
+TEST_P(PipelineThreadsTest, EveryStageOfAnItemRunsOnOneThreadInOrder) {
+  constexpr std::size_t kItems = 64;
+  constexpr std::size_t kStages = 4;
+  std::vector<std::thread::id> owner(kItems);
+  std::vector<std::size_t> next_stage(kItems, 0);
+  std::atomic<int> violations{0};
+  std::vector<PipelineStage> stages;
+  for (std::size_t s = 0; s < kStages; ++s) {
+    stages.push_back({"stage" + std::to_string(s), [&, s](std::size_t i) {
+                        // Each item's slots are touched only by its owning
+                        // thread, so plain (unsynchronized) state suffices —
+                        // and a second thread would show up under tsan.
+                        if (s == 0) owner[i] = std::this_thread::get_id();
+                        if (owner[i] != std::this_thread::get_id() ||
+                            next_stage[i] != s) {
+                          violations.fetch_add(1);
+                        }
+                        next_stage[i] = s + 1;
+                        std::this_thread::sleep_for(20us);
+                      }});
+  }
+  PipelineOptions options;
+  options.threads = GetParam();
+  const PipelineResult result = RunPipeline(kItems, stages, options);
+  EXPECT_TRUE(result.failures.empty());
+  EXPECT_EQ(violations.load(), 0);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(next_stage[i], kStages) << "item " << i;
+  }
+}
+
+TEST_P(PipelineThreadsTest, AtMostWorkersItemsAreEverInFlight) {
+  // An item is in flight from its first stage's begin to its last stage's
+  // end; the streaming study's memory bound is exactly this count.
+  constexpr std::size_t kItems = 96;
+  const int workers = ResolveThreads(GetParam(), kItems);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  const std::vector<PipelineStage> stages = {
+      {"first", [&](std::size_t) {
+         const int now = in_flight.fetch_add(1) + 1;
+         int seen = peak.load();
+         while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+         }
+         std::this_thread::sleep_for(50us);
+       }},
+      {"middle", [](std::size_t) { std::this_thread::sleep_for(50us); }},
+      {"last", [&](std::size_t) { in_flight.fetch_sub(1); }},
+  };
+  PipelineOptions options;
+  options.threads = GetParam();
+  const PipelineResult result = RunPipeline(kItems, stages, options);
+  EXPECT_TRUE(result.failures.empty());
+  EXPECT_EQ(in_flight.load(), 0);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), workers);
 }
 
 TEST_P(PipelineThreadsTest, DependencyOrderHoldsUnderSeededRandomDelays) {
@@ -216,7 +151,6 @@ TEST_P(PipelineThreadsTest, DependencyOrderHoldsUnderSeededRandomDelays) {
   }
   PipelineOptions options;
   options.threads = threads;
-  options.queue_depth = 4;
   const PipelineResult result = RunPipeline(kItems, stages, options);
   EXPECT_TRUE(result.failures.empty());
   for (std::size_t i = 0; i < kItems; ++i) {
@@ -228,14 +162,11 @@ TEST_P(PipelineThreadsTest, DependencyOrderHoldsUnderSeededRandomDelays) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Threads, PipelineThreadsTest,
-    ::testing::Values(1, 4,
-                      static_cast<int>(std::max(
-                          2u, std::thread::hardware_concurrency()))),
-    [](const ::testing::TestParamInfo<int>& info) {
-      return "threads" + std::to_string(info.param);
-    });
+INSTANTIATE_TEST_SUITE_P(Threads, PipelineThreadsTest,
+                         ::testing::ValuesIn(pinscope::testing::ThreadGrid()),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return pinscope::testing::ThreadGridName(info.param);
+                         });
 
 TEST(PipelineSchedulerTest, CleanShutdownWithInFlightWork) {
   // Slow stages keep work in flight right up to the end; RunPipeline must
@@ -251,7 +182,6 @@ TEST(PipelineSchedulerTest, CleanShutdownWithInFlightWork) {
   };
   PipelineOptions options;
   options.threads = 4;
-  options.queue_depth = 2;
   const PipelineResult result = RunPipeline(kItems, stages, options);
   EXPECT_TRUE(result.failures.empty());
   EXPECT_EQ(completed.load(), static_cast<int>(kItems));
@@ -331,20 +261,48 @@ TEST(PipelineSchedulerTest, EmptyInputsAreNoOps) {
   EXPECT_TRUE(RunPipeline(5, {}, {}).failures.empty());
 }
 
-TEST(PipelineSchedulerTest, ReportsBackpressureWhenTheQueueSaturates) {
-  // Depth 1 with several workers forces continuations to run inline.
-  std::vector<PipelineStage> stages = {
-      {"a", [](std::size_t) { std::this_thread::sleep_for(200us); }},
-      {"b", [](std::size_t) { std::this_thread::sleep_for(200us); }},
-      {"c", [](std::size_t) {}},
+TEST(PipelineSchedulerTest, TimelineAttributesRampUpAndTailJoinPerWorker) {
+  // Every worker's lane opens with a ramp-up interval starting at the marked
+  // run start and closes with a tail-join interval ending at the marked run
+  // end, so its buckets cover the run's whole wall clock. With no queue,
+  // nothing is ever recorded as queue-starved or backpressure.
+  constexpr int kThreads = 4;
+  obs::Timeline timeline;
+  const std::vector<PipelineStage> stages = {
+      {"a", [](std::size_t) { std::this_thread::sleep_for(100us); }},
+      {"b", [](std::size_t) {}},
   };
   PipelineOptions options;
-  options.threads = 4;
-  options.queue_depth = 1;
-  const PipelineResult result = RunPipeline(64, stages, options);
+  options.threads = kThreads;
+  options.timeline = &timeline;
+  const PipelineResult result = RunPipeline(32, stages, options);
   EXPECT_TRUE(result.failures.empty());
-  EXPECT_GE(result.peak_queue_depth, 1u);
-  EXPECT_LE(result.peak_queue_depth, 1u);  // the bound is a hard bound
+
+  ASSERT_EQ(timeline.WorkerCount(), static_cast<std::size_t>(kThreads));
+  std::uint64_t stage_count = 0;
+  for (std::size_t w = 0; w < timeline.WorkerCount(); ++w) {
+    SCOPED_TRACE("worker=" + std::to_string(w));
+    const obs::TimelineWorkerTotals totals = timeline.TotalsFor(w);
+    stage_count += totals.stage_count;
+    EXPECT_EQ(totals.first_us, timeline.RunStartUs());
+    EXPECT_EQ(totals.last_us, timeline.RunEndUs());
+    EXPECT_EQ(totals.queue_starved_us, 0.0);
+    EXPECT_EQ(totals.backpressure_us, 0.0);
+    int ramp_ups = 0;
+    int tail_joins = 0;
+    for (const obs::TimelineInterval& interval : timeline.SamplesFor(w)) {
+      if (interval.kind == obs::IntervalKind::kRampUp) {
+        ++ramp_ups;
+        EXPECT_EQ(interval.start_us, timeline.RunStartUs());
+      } else if (interval.kind == obs::IntervalKind::kTailJoin) {
+        ++tail_joins;
+        EXPECT_EQ(interval.end_us, timeline.RunEndUs());
+      }
+    }
+    EXPECT_EQ(ramp_ups, 1);
+    EXPECT_EQ(tail_joins, 1);
+  }
+  EXPECT_EQ(stage_count, 64u);
 }
 
 }  // namespace

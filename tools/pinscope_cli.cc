@@ -52,12 +52,8 @@ core::StudyOptions StudyOptionsFor(const CliOptions& opts,
                                    obs::Observer* observer) {
   core::StudyOptions sopts;
   sopts.threads = opts.threads;
-  // Results are thread-count invariant, so parallel phases are safe to turn
-  // on whenever the user did not pin the study to one thread.
-  sopts.dynamic.parallel_phases = opts.threads != 1;
   sopts.scheduler = opts.scheduler == "phases" ? core::SchedulerKind::kPhases
                                                : core::SchedulerKind::kPipeline;
-  sopts.queue_depth = static_cast<std::size_t>(opts.queue_depth);
   sopts.scan_cache = opts.scan_cache;
   sopts.sim_cache = opts.sim_cache;
   sopts.cache_dir = opts.cache_dir;
@@ -273,15 +269,12 @@ int Usage() {
       "  --seed N            generation seed (default 42)\n"
       "  --threads T         study worker threads; 0 = all hardware threads\n"
       "                      (default 0; results are identical for every T)\n"
-      "  --scheduler=KIND    study execution model: 'pipeline' (barrier-free\n"
-      "                      per-app stage chains; apps overlap across static/\n"
-      "                      dynamic analysis and results stream out as they\n"
-      "                      finish) or 'phases' (corpus-wide fan-out per\n"
-      "                      platform). Default pipeline; results are\n"
+      "  --scheduler=KIND    study execution model: 'pipeline' (each app's\n"
+      "                      whole stage chain runs on one worker; apps\n"
+      "                      overlap across workers and results stream out\n"
+      "                      as they finish) or 'phases' (corpus-wide fan-out\n"
+      "                      per platform). Default pipeline; results are\n"
       "                      byte-identical either way (DESIGN.md §13)\n"
-      "  --queue-depth N     pipeline ready-queue capacity; bounds buffered\n"
-      "                      work and applies backpressure (0 = 2x workers;\n"
-      "                      results are identical for every N)\n"
       "  --scan-cache=on|off corpus-wide static-scan cache: shared SDK files\n"
       "                      are scanned once per study (default on; results\n"
       "                      are byte-identical either way)\n"
@@ -303,7 +296,7 @@ int Usage() {
       "                      byte-identical with progress on or off\n"
       "  --heartbeat-out FILE  write a machine-readable heartbeat: one JSON\n"
       "                      line per telemetry tick with done/total, RSS,\n"
-      "                      queue depth, and per-phase p50/p90/p99 (µs)\n"
+      "                      in-flight chains, and per-phase p50/p90/p99 (µs)\n"
       "  --telemetry-interval-ms N  telemetry sampler tick period\n"
       "                      (default 250)\n"
       "  --trace-out FILE    (study/tables) write a Chrome trace_event JSON of\n"
