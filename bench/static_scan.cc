@@ -4,16 +4,14 @@
 // client stubs and bundled PEM chain, plus a few app-unique files) end to
 // end with the content-hash scan cache off and on, and writes the results
 // as machine-readable JSON to BENCH_static_scan.json so CI can track the
-// speedup over time.
-//
-// A second dimension compares the content-scan inner loop itself: the same
-// uncached corpus pass with the SIMD multi-literal prefilter (one batched
-// sweep for the PEM marker + pin anchor, see staticanalysis/prefilter.h)
-// against the legacy per-pattern anchor sweep (PINSCOPE_NO_PREFILTER), with
-// a result-equality guard — the two scanners must find identical pins.
+// speedup over time. The uncached pass is `prefilter_ms`: the content-scan
+// inner loop itself (one SIMD multi-literal sweep for the PEM marker and
+// "sha", see staticanalysis/prefilter.h, then the pin matcher and PEM
+// decode at each hit). Every timing carries its min, median and n.
 //
 // Knobs: PINSCOPE_BENCH_APPS (corpus size, default 64),
-//        PINSCOPE_BENCH_REPS (timed repetitions, default 5; best rep wins).
+//        PINSCOPE_BENCH_REPS (timed repetitions, default 5).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -107,6 +105,19 @@ double TimedPass(const staticanalysis::Scanner& scanner,
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+/// A timing's spread across reps, as JSON: {"min_ms", "median_ms", "n"}.
+std::string SpreadJson(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const std::size_t n = ms.size();
+  const double median =
+      n % 2 == 1 ? ms[n / 2] : (ms[n / 2 - 1] + ms[n / 2]) / 2.0;
+  char out[128];
+  std::snprintf(out, sizeof(out),
+                "{\"min_ms\": %.3f, \"median_ms\": %.3f, \"n\": %zu}",
+                ms.front(), median, n);
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -123,62 +134,38 @@ int main() {
   }
 
   const staticanalysis::Scanner scanner;
-  // The legacy-sweep scanner for the prefilter dimension: the knob is read
-  // at construction, so scope it to this one object.
-  ::setenv("PINSCOPE_NO_PREFILTER", "1", 1);
-  const staticanalysis::Scanner legacy_scanner;
-  ::unsetenv("PINSCOPE_NO_PREFILTER");
-  if (!scanner.prefilter_enabled() || legacy_scanner.prefilter_enabled()) {
-    std::fprintf(stderr, "FATAL: prefilter knob wiring broken\n");
-    return 1;
-  }
-
-  std::size_t pins_off = 0, pins_on = 0, pins_legacy = 0;
-  double best_off = 0.0, best_on = 0.0, best_legacy = 0.0;
+  std::size_t pins_off = 0, pins_on = 0;
+  std::vector<double> off_ms, on_ms;
   staticanalysis::ScanCacheStats stats;
   // Per-phase wall-time histograms (one sample per rep), embedded into the
   // JSON below as the "phases" breakdown.
   obs::MetricsRegistry registry;
   for (int r = 0; r < reps; ++r) {
-    double off = 0.0, on = 0.0, legacy = 0.0;
-    {
-      obs::ScopedTimer timer(
-          obs::PhaseHistogramOrNull(&registry, "phase.scan_legacy_sweep"));
-      legacy = TimedPass(legacy_scanner, corpus, nullptr, &pins_legacy);
-    }
     {
       obs::ScopedTimer timer(
           obs::PhaseHistogramOrNull(&registry, "phase.scan_uncached"));
-      off = TimedPass(scanner, corpus, nullptr, &pins_off);
+      off_ms.push_back(TimedPass(scanner, corpus, nullptr, &pins_off));
     }
     staticanalysis::ScanCache cache;
     {
       obs::ScopedTimer timer(
           obs::PhaseHistogramOrNull(&registry, "phase.scan_cached"));
-      on = TimedPass(scanner, corpus, &cache, &pins_on);
+      on_ms.push_back(TimedPass(scanner, corpus, &cache, &pins_on));
     }
-    if (r == 0 || legacy < best_legacy) best_legacy = legacy;
-    if (r == 0 || off < best_off) best_off = off;
-    if (r == 0 || on < best_on) {
-      best_on = on;
-      stats = cache.Stats();
-    }
-    std::fprintf(stderr,
-                 "[pinscope] rep %d: legacy sweep %.2f ms, "
-                 "prefilter %.2f ms, cached %.2f ms\n",
-                 r + 1, legacy, off, on);
+    stats = cache.Stats();  // identical every rep: each starts cold
+    std::fprintf(stderr, "[pinscope] rep %d: uncached %.2f ms, cached %.2f ms\n",
+                 r + 1, off_ms.back(), on_ms.back());
   }
-  if (pins_off != pins_on || pins_off != pins_legacy) {
+  if (pins_off != pins_on) {
     std::fprintf(stderr,
-                 "FATAL: scan variants disagree (%zu prefilter, %zu cached, "
-                 "%zu legacy pins)\n",
-                 pins_off, pins_on, pins_legacy);
+                 "FATAL: cached and uncached scans disagree (%zu vs %zu pins)\n",
+                 pins_off, pins_on);
     return 1;
   }
 
+  const double best_off = *std::min_element(off_ms.begin(), off_ms.end());
+  const double best_on = *std::min_element(on_ms.begin(), on_ms.end());
   const double speedup = best_on > 0.0 ? best_off / best_on : 0.0;
-  const double prefilter_speedup =
-      best_off > 0.0 ? best_legacy / best_off : 0.0;
   char json[1536];
   std::snprintf(
       json, sizeof(json),
@@ -186,17 +173,16 @@ int main() {
       "  \"benchmark\": \"static_scan\",\n"
       "  \"corpus\": {\"apps\": %d, \"files\": %zu, \"bytes\": %zu},\n"
       "  \"reps\": %d,\n"
-      "  \"cache_off_ms\": %.3f,\n"
-      "  \"cache_on_ms\": %.3f,\n"
+      "  \"prefilter_level\": \"%s\",\n"
+      "  \"prefilter_ms\": %s,\n"
+      "  \"cache_on_ms\": %s,\n"
       "  \"speedup\": %.2f,\n"
       "  \"pins_found\": %zu,\n"
-      "  \"prefilter\": {\"level\": \"%s\", \"legacy_sweep_ms\": %.3f,\n"
-      "                \"prefilter_ms\": %.3f, \"speedup\": %.2f},\n"
       "  \"cache\": {\"lookups\": %zu, \"hits\": %zu, \"misses\": %zu,\n"
       "            \"entries\": %zu, \"bytes_deduped\": %zu, \"hit_rate\": %.4f},\n",
-      apps, total_files, total_bytes, reps, best_off, best_on, speedup, pins_on,
-      scanner.prefilter().level_name(), best_legacy, best_off,
-      prefilter_speedup, stats.lookups, stats.hits, stats.misses, stats.entries,
+      apps, total_files, total_bytes, reps, scanner.prefilter().level_name(),
+      SpreadJson(off_ms).c_str(), SpreadJson(on_ms).c_str(), speedup, pins_on,
+      stats.lookups, stats.hits, stats.misses, stats.entries,
       stats.bytes_deduped, stats.HitRate());
 
   return bench::WriteBenchJsonWithPhases("BENCH_static_scan.json", json,

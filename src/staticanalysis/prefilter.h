@@ -1,14 +1,12 @@
 // SIMD multi-literal scan prefilter (the Teddy/memchr-style batch sweep).
 //
-// The scanner used to sweep each artifact once per pattern: one
-// std::string_view::find pass for the PEM BEGIN marker, another for the pin
-// regex's mandatory literal (Regex::required_literal()). This class batches
-// the mandatory literals of *all* compiled rules into a single pass: a
-// vectorized candidate filter over 2-byte probes marks the few positions
-// where any literal could occur, and an exact memcmp confirms which rule(s)
-// actually begin there. One traversal of the haystack replaces k traversals,
-// and the candidate filter runs 16 (SSE2) or 32 (AVX2) subject positions per
-// instruction.
+// Each scanner rule starts with a fixed literal: the PEM BEGIN marker, and
+// the pin pattern's "sha". This class finds every occurrence of all of them
+// in a single pass: a vectorized candidate filter over 2-byte probes marks
+// the few positions where any literal could occur, and an exact memcmp
+// confirms which literal(s) actually begin there. One traversal of the
+// haystack replaces one per rule, and the candidate filter runs 16 (SSE2) or
+// 32 (AVX2) subject positions per instruction.
 //
 // Each literal's probe pair is chosen at the lowest-noise offset *inside*
 // the literal, not blindly at its head: "-----BEGIN CERTIFICATE-----" would

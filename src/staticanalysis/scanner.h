@@ -1,10 +1,14 @@
 // Package scanner (§4.1.2): the ripgrep + radare2 substitute.
 //
 // Walks an app's file tree looking for (a) certificate files by extension,
-// (b) PEM blobs by their BEGIN delimiter, and (c) SPKI pin hashes via the
-// paper's regex sha(1|256)/[a-zA-Z0-9+/=]{28,64}. Binary files (native libs,
-// executables) are first reduced to their printable string runs, like
+// (b) PEM blobs by their BEGIN delimiter, and (c) SPKI pin hashes matching
+// the paper's pattern sha(1|256)/[a-zA-Z0-9+/=]{28,64}. Binary files (native
+// libs, executables) are first reduced to their printable string runs, like
 // radare2's string extraction.
+//
+// One SIMD multi-literal sweep (prefilter.h) finds every PEM BEGIN marker
+// and every "sha" in a file; a purpose-built matcher then checks the rest of
+// the pin pattern at each "sha" hit.
 //
 // The scan inner loop is zero-copy and single-pass: file contents are viewed
 // as std::string_view over the package's own bytes (no per-file string
@@ -24,13 +28,18 @@
 #include "appmodel/package.h"
 #include "obs/metrics.h"
 #include "staticanalysis/prefilter.h"
-#include "staticanalysis/regex.h"
 #include "tls/pinning.h"
 #include "x509/certificate.h"
 
 namespace pinscope::staticanalysis {
 
 class ScanCache;  // scan_cache.h
+
+/// The pin-hash pattern of §4.1.2, as the paper writes it. The scanner
+/// implements it directly (leftmost-longest, non-overlapping matches); the
+/// text is quoted verbatim in the decision journal's "rule" field.
+inline constexpr std::string_view kPinPattern =
+    "sha(1|256)/[a-zA-Z0-9+/=]{28,64}";
 
 /// A certificate discovered in a package.
 struct FoundCertificate {
@@ -81,8 +90,9 @@ struct ScanResult {
 /// Calls `fn(std::string_view)` for every printable-ASCII run of at least
 /// `min_len` bytes in `data`. The views alias `data` — no copies are made —
 /// so they are valid only for the duration of the callback. This is the
-/// scanner's fast path for binary files; ExtractStrings is the materializing
-/// wrapper kept for callers that want owned strings.
+/// scalar definition of a string run; the scanner's vectorized
+/// FindPrintableRuns (prefilter.h) yields the same runs, and ExtractStrings
+/// is the materializing wrapper for callers that want owned strings.
 template <typename Fn>
 void ForEachPrintableRun(const util::Bytes& data, std::size_t min_len, Fn&& fn) {
   const char* base = reinterpret_cast<const char*>(data.data());
@@ -124,8 +134,7 @@ void ExtractStrings(const util::Bytes& data, std::size_t min_len,
 /// case-insensitively without copying or lowercasing the path.
 [[nodiscard]] bool HasCertFileSuffix(std::string_view path);
 
-/// Package scanner. Construct once; the pin regex is compiled at
-/// construction.
+/// Package scanner. Construct once; the prefilter is built at construction.
 class Scanner {
  public:
   Scanner();
@@ -141,35 +150,21 @@ class Scanner {
                                 ScanCache* cache = nullptr,
                                 obs::MetricsRegistry* metrics = nullptr) const;
 
-  /// The compiled pin-hash pattern (exposed for tests and benchmarks).
-  [[nodiscard]] const Regex& pin_pattern() const { return pin_pattern_; }
-
   /// The batched literal sweep shared by all rules (tests and benchmarks).
   [[nodiscard]] const MultiLiteralPrefilter& prefilter() const {
     return prefilter_;
   }
 
-  /// True when content scanning uses the single-pass multi-literal
-  /// prefilter; false on the legacy per-pattern sweep (PINSCOPE_NO_PREFILTER
-  /// set at construction, or the pin pattern yielded no usable anchor).
-  /// Either way the results are byte-identical.
-  [[nodiscard]] bool prefilter_enabled() const { return use_prefilter_; }
-
  private:
-  void ScanContent(std::string_view text, std::size_t base_offset,
-                   CachedFileScan& out) const;
-  void ScanContentLegacy(std::string_view text, std::size_t base_offset,
-                         CachedFileScan& out) const;
   void ConsumeHits(const PrefilterHit* begin, const PrefilterHit* end,
-                   std::string_view text, std::size_t rebase,
-                   std::size_t base_offset, CachedFileScan& out) const;
-  void ScanBinaryPrefiltered(std::string_view text, CachedFileScan& out) const;
+                   std::string_view text, std::size_t base,
+                   CachedFileScan& out) const;
+  void ScanBinary(const std::vector<PrefilterHit>& hits, std::string_view text,
+                  CachedFileScan& out) const;
   void ScanFile(const util::Bytes& content, bool is_cert_file,
                 CachedFileScan& out) const;
 
-  Regex pin_pattern_;
-  MultiLiteralPrefilter prefilter_;  ///< [0]=PEM BEGIN, [1]=pin anchor.
-  bool use_prefilter_ = false;
+  MultiLiteralPrefilter prefilter_;  ///< [0]=PEM BEGIN, [1]="sha".
 };
 
 }  // namespace pinscope::staticanalysis

@@ -24,10 +24,6 @@ std::vector<std::string> StaticReport::EvidencePaths() const {
 
 namespace {
 
-// The scanner's pin-hash pattern, quoted verbatim in static.pin_found events
-// so the journal names the rule that fired.
-constexpr std::string_view kPinRule = "sha(1|256)/[a-zA-Z0-9+/=]{28,64}";
-
 // Decision events for the static layer, derived from the finished report so
 // they are identical with the scan cache on or off (DESIGN.md §12).
 void EmitStaticEvents(const StaticReport& report, obs::EventScope& log) {
@@ -39,7 +35,7 @@ void EmitStaticEvents(const StaticReport& report, obs::EventScope& log) {
     log.Emit(obs::Severity::kDecision, "static.pin_found",
              {{"path", pin.path},
               {"offset", static_cast<std::uint64_t>(pin.offset)},
-              {"rule", kPinRule},
+              {"rule", kPinPattern},  // names the rule that fired
               {"pin", pin.pin_string},
               {"well_formed", pin.parsed.has_value()}});
   }
@@ -93,7 +89,7 @@ StaticReport AnalyzeStatically(const appmodel::App& app,
   report.app_id = app.meta.app_id;
   report.platform = app.meta.platform;
 
-  static const Scanner scanner;  // stateless; the pin regex compiles once
+  static const Scanner scanner;  // stateless; the prefilter builds once
 
   const obs::Span span = obs::SpanFor(options.observer, "static.scan", "phase",
                                       {{"app", app.meta.app_id}});
@@ -119,27 +115,27 @@ StaticReport AnalyzeStatically(const appmodel::App& app,
 
   // §4.1.3: resolve found pin hashes against the CT log.
   if (options.ct_log != nullptr) {
-    // Views into report.scan.pins (stable for the loop's lifetime): a
-    // pin-dense file would otherwise pay one heap string per dedup insert
-    // and another per substr.
+    // Views into report.scan.pins and into the log's certificates (both
+    // stable for the loop's lifetime): a pin-dense file would otherwise pay
+    // a heap string per dedup insert.
     std::unordered_set<std::string_view> seen_pins;
     seen_pins.reserve(report.scan.pins.size());
-    std::set<std::string> seen_fingerprints;
+    std::unordered_set<std::string_view> seen_fingerprints;
     for (const FoundPin& pin : report.scan.pins) {
       if (!pin.parsed.has_value()) continue;
       if (!seen_pins.insert(pin.pin_string).second) continue;
       ++report.pins_total;
-      const std::string_view pin_str = pin.pin_string;
-      const auto certs =
-          options.ct_log->FindBySpkiDigest(pin_str.substr(pin_str.find('/') + 1));
-      if (!certs.empty()) ++report.pins_resolved;
-      for (const x509::Certificate& cert : certs) {
-        const auto fp = cert.FingerprintSha256();
-        const std::string key(fp.begin(), fp.end());
-        if (seen_fingerprints.insert(key).second) {
-          report.ct_resolved.push_back(cert);
-        }
-      }
+      // A parsed pin's material is the raw SPKI digest its body encodes.
+      const std::size_t matches = options.ct_log->ForEachBySpkiDigest(
+          pin.parsed->material, [&](const x509::Certificate& cert) {
+            const auto& fp = cert.FingerprintSha256();
+            const std::string_view key(
+                reinterpret_cast<const char*>(fp.data()), fp.size());
+            if (seen_fingerprints.insert(key).second) {
+              report.ct_resolved.push_back(cert);
+            }
+          });
+      if (matches > 0) ++report.pins_resolved;
     }
     if (report.pins_total > 0) {
       log.Emit(obs::Severity::kInfo, "static.ct_resolution",

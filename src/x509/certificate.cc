@@ -38,18 +38,20 @@ Certificate::Certificate(CertificateData data) : data_(std::move(data)) {
 }
 
 Certificate::DigestCache& Certificate::Cache() const {
-  std::shared_ptr<DigestCache> cache =
-      digests_.load(std::memory_order_acquire);
-  if (cache == nullptr) {
-    auto fresh = std::make_shared<DigestCache>();
-    if (digests_.compare_exchange_strong(cache, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-      cache = std::move(fresh);
-    }
-    // On failure `cache` was reloaded with the winning thread's cache.
-  }
-  return *cache;
+  if (DigestCache* cache = cache_.load(std::memory_order_acquire)) return *cache;
+  // Held only while a certificate's first user publishes its cache.
+  static std::mutex publish;
+  const std::lock_guard lock(publish);
+  if (DigestCache* cache = cache_.load(std::memory_order_acquire)) return *cache;
+  cache_owner_ = std::make_shared<DigestCache>();
+  cache_.store(cache_owner_.get(), std::memory_order_release);
+  return *cache_owner_;
+}
+
+void Certificate::ShareCache(const Certificate& other) noexcept {
+  DigestCache* cache = other.cache_.load(std::memory_order_acquire);
+  cache_owner_ = cache != nullptr ? other.cache_owner_ : nullptr;
+  cache_.store(cache, std::memory_order_release);
 }
 
 const util::Bytes& Certificate::TbsBytes() const {

@@ -48,28 +48,26 @@ class Certificate {
   Certificate() = default;
   explicit Certificate(CertificateData data);
 
-  // The digest cache is allocated lazily (see Cache()), so copies must read
-  // the slot atomically: a copy may race with another thread's first digest
-  // computation on the same source object.
-  Certificate(const Certificate& other)
-      : data_(other.data_),
-        digests_(other.digests_.load(std::memory_order_acquire)) {}
-  Certificate(Certificate&& other) noexcept
-      : data_(std::move(other.data_)),
-        digests_(other.digests_.load(std::memory_order_acquire)) {}
+  // Copies share the digest cache if it is already published (see Cache());
+  // a copy may race with another thread's first digest computation on the
+  // same source object, so the cache is read through its atomic pointer.
+  Certificate(const Certificate& other) : data_(other.data_) {
+    ShareCache(other);
+  }
+  Certificate(Certificate&& other) noexcept : data_(std::move(other.data_)) {
+    ShareCache(other);
+  }
   Certificate& operator=(const Certificate& other) {
     if (this != &other) {
       data_ = other.data_;
-      digests_.store(other.digests_.load(std::memory_order_acquire),
-                     std::memory_order_release);
+      ShareCache(other);
     }
     return *this;
   }
   Certificate& operator=(Certificate&& other) noexcept {
     if (this != &other) {
       data_ = std::move(other.data_);
-      digests_.store(other.digests_.load(std::memory_order_acquire),
-                     std::memory_order_release);
+      ShareCache(other);
     }
     return *this;
   }
@@ -160,14 +158,21 @@ class Certificate {
 
   /// Returns the digest cache, allocating it on first use. Most certificates
   /// a scan parses are never digested, so the allocation (and its ~150-byte
-  /// zeroing) stays off the parse path; a lock-free CAS converges concurrent
-  /// first users onto one cache.
+  /// zeroing) stays off the parse path. Concurrent first users meet under a
+  /// lock, and exactly one of them publishes the cache.
   DigestCache& Cache() const;
 
   const DigestCache& Digests() const;
 
+  /// Points this certificate at `other`'s published cache, or at none.
+  void ShareCache(const Certificate& other) noexcept;
+
   CertificateData data_;
-  mutable std::atomic<std::shared_ptr<DigestCache>> digests_;
+  /// Publication: `cache_owner_` is written once, under the lock, before
+  /// `cache_` is release-stored, and never again; so a reader that
+  /// acquire-loads a non-null `cache_` may then read `cache_owner_`.
+  mutable std::atomic<DigestCache*> cache_{nullptr};
+  mutable std::shared_ptr<DigestCache> cache_owner_;
 };
 
 /// An ordered certificate chain, leaf first (as servers send it).

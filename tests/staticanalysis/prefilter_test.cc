@@ -1,8 +1,9 @@
 // MultiLiteralPrefilter contract tests: exactness against a naive reference
 // over random haystacks × literal sets, the documented (pos, pattern) hit
-// ordering, overlapping occurrences, and SIMD-vs-forced-portable
-// equivalence via the PINSCOPE_NO_SIMD / PINSCOPE_NO_AVX2 env knobs (read
-// at construction, so each test builds fresh filters after setenv).
+// ordering, overlapping occurrences, SIMD-vs-forced-portable equivalence via
+// the PINSCOPE_NO_SIMD / PINSCOPE_NO_AVX2 env knobs (read at construction,
+// so each test builds fresh filters after setenv), and the prefiltered
+// Scanner against the two-sweep oracle.
 #include "staticanalysis/prefilter.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "crypto/cpu.h"
 #include "staticanalysis/scanner.h"
+#include "testing/legacy_scan.h"
 #include "x509/issuer.h"
 #include "x509/pem.h"
 
@@ -169,28 +171,15 @@ TEST(PrefilterTest, NoAvx2KnobCapsLevelAtSse2) {
 #endif
 }
 
-// --- Scanner-level equivalence: prefiltered vs legacy two-sweep path ------
+// --- Scanner-level equivalence: prefiltered scan vs the two-sweep oracle --
+
+using pinscope::testing::ExpectSameScan;
+using pinscope::testing::LegacyScan;
 
 x509::Certificate ScanTestCert(const std::string& cn) {
   x509::IssueSpec spec;
   spec.subject.set_common_name(cn);
   return x509::CertificateIssuer::SelfSignedLeaf("prefilter:" + cn, spec);
-}
-
-void ExpectSameScan(const ScanResult& a, const ScanResult& b) {
-  ASSERT_EQ(a.certificates.size(), b.certificates.size());
-  for (std::size_t i = 0; i < a.certificates.size(); ++i) {
-    EXPECT_EQ(a.certificates[i].path, b.certificates[i].path);
-    EXPECT_EQ(a.certificates[i].cert, b.certificates[i].cert);
-    EXPECT_EQ(a.certificates[i].from_pem, b.certificates[i].from_pem);
-  }
-  ASSERT_EQ(a.pins.size(), b.pins.size());
-  for (std::size_t i = 0; i < a.pins.size(); ++i) {
-    EXPECT_EQ(a.pins[i].path, b.pins[i].path);
-    EXPECT_EQ(a.pins[i].pin_string, b.pins[i].pin_string);
-    EXPECT_EQ(a.pins[i].offset, b.pins[i].offset);
-    EXPECT_EQ(a.pins[i].parsed.has_value(), b.pins[i].parsed.has_value());
-  }
 }
 
 TEST(PrefilterTest, ScannerPrefilterMatchesLegacySweep) {
@@ -217,15 +206,8 @@ TEST(PrefilterTest, ScannerPrefilterMatchesLegacySweep) {
   blob.push_back(0x00);
   files.Add("lib/libnative.so", blob);
 
-  const Scanner fast;
-  const ScanResult with_prefilter = fast.Scan(files);
-  EXPECT_TRUE(fast.prefilter_enabled());
-  {
-    const ScopedEnv no_prefilter("PINSCOPE_NO_PREFILTER");
-    const Scanner legacy;
-    EXPECT_FALSE(legacy.prefilter_enabled());
-    ExpectSameScan(with_prefilter, legacy.Scan(files));
-  }
+  const ScanResult with_prefilter = Scanner().Scan(files);
+  ExpectSameScan(with_prefilter, LegacyScan(files));
   // Sanity: the corpus produced real findings.
   EXPECT_EQ(with_prefilter.certificates.size(), 2u);
   GTEST_ASSERT_GE(with_prefilter.pins.size(), 1u);
@@ -247,11 +229,7 @@ TEST(PrefilterTest, ScannerFuzzPrefilterMatchesLegacy) {
     appmodel::PackageFiles files;
     files.AddText("assets/fuzz.txt", content);
 
-    const Scanner fast;
-    const ScanResult a = fast.Scan(files);
-    const ScopedEnv no_prefilter("PINSCOPE_NO_PREFILTER");
-    const Scanner legacy;
-    ExpectSameScan(a, legacy.Scan(files));
+    ExpectSameScan(Scanner().Scan(files), LegacyScan(files));
   }
 }
 
