@@ -7,22 +7,21 @@
 // chain-validation memo), and writes the results as machine-readable JSON
 // to BENCH_dynamic.json so CI can track the speedup over time.
 //
-// A second dimension compares the two study schedulers (DESIGN.md §13):
-// one full Study per scheduler over the same corpus — the phase-barrier
-// fan-out against the run-to-completion per-app pipeline — reporting wall
-// milliseconds each, with a byte-equality guard on the exports (the
-// schedulers must agree exactly). Both timed studies run WITHOUT an
-// observer (an attached observer journals every verdict, a cost that once
-// skewed this comparison). Both schedulers run at an explicit worker count —
-// PINSCOPE_BENCH_THREADS, default max(2, hardware threads) — never at
-// "hardware concurrency" directly: on a single-core CI box that default
-// used to resolve both sides to the inline serial path, making the
-// comparison serial-vs-serial and the numbers meaningless. The worker
-// count actually used is recorded as scheduler.workers in the JSON.
+// A second dimension times the study chain (DESIGN.md §13): one full Study
+// run serially (threads = 1) against one pipelined across workers over the
+// same corpus, reporting wall milliseconds each, with a byte-equality guard
+// on the exports (thread count must never change a byte). Both timed
+// studies run WITHOUT an observer (an attached observer journals every
+// verdict, a cost that once skewed this comparison). The pipelined side
+// runs at an explicit worker count — PINSCOPE_BENCH_THREADS, default
+// max(2, hardware threads) — never at "hardware concurrency" directly: on a
+// single-core CI box that default would resolve to the inline serial path,
+// making the comparison serial-vs-serial. The worker count actually used is
+// recorded as scheduler.workers in the JSON.
 //
 // Knobs: PINSCOPE_BENCH_SCALE_PCT (ecosystem scale in percent, default 5),
 //        PINSCOPE_BENCH_REPS (timed repetitions, default 5; best rep wins),
-//        PINSCOPE_BENCH_THREADS (scheduler-comparison workers, default
+//        PINSCOPE_BENCH_THREADS (pipelined-study workers, default
 //        max(2, hardware threads)).
 #include <chrono>
 #include <cstdint>
@@ -103,12 +102,11 @@ double TimedPass(const store::Ecosystem& eco, bool use_fixtures,
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
-/// One full Study under `scheduler`; returns wall milliseconds and leaves
-/// the CSV export (the equality guard) in `csv_out`.
-double TimedStudy(const store::Ecosystem& eco, core::SchedulerKind scheduler,
-                  int workers, std::string* csv_out) {
+/// One full Study on `workers` threads; returns wall milliseconds and
+/// leaves the CSV export (the equality guard) in `csv_out`.
+double TimedStudy(const store::Ecosystem& eco, int workers,
+                  std::string* csv_out) {
   core::StudyOptions opts;
-  opts.scheduler = scheduler;
   opts.threads = workers;
   core::Study study(eco, opts);
   const auto start = std::chrono::steady_clock::now();
@@ -163,31 +161,28 @@ int main() {
     }
   }
 
-  // Scheduler dimension: full studies, phase-barrier vs pipelined. Both
-  // sides run observer-free so the timings compare schedulers, not
-  // instrumentation.
+  // Scheduler dimension: full studies, serial vs pipelined. Both sides run
+  // observer-free so the timings compare schedules, not instrumentation.
   const int bench_threads =
       EnvInt("PINSCOPE_BENCH_THREADS",
              static_cast<int>(std::max(2u, std::thread::hardware_concurrency())));
-  double best_phases = 0.0, best_pipeline = 0.0;
+  double best_serial = 0.0, best_pipelined = 0.0;
   for (int r = 0; r < reps; ++r) {
-    std::string phases_csv, pipeline_csv;
-    const double phases_ms = TimedStudy(eco, core::SchedulerKind::kPhases,
-                                        bench_threads, &phases_csv);
-    const double pipeline_ms = TimedStudy(eco, core::SchedulerKind::kPipeline,
-                                          bench_threads, &pipeline_csv);
-    if (r == 0 || phases_ms < best_phases) best_phases = phases_ms;
-    if (r == 0 || pipeline_ms < best_pipeline) best_pipeline = pipeline_ms;
+    std::string serial_csv, pipelined_csv;
+    const double serial_ms = TimedStudy(eco, 1, &serial_csv);
+    const double pipelined_ms = TimedStudy(eco, bench_threads, &pipelined_csv);
+    if (r == 0 || serial_ms < best_serial) best_serial = serial_ms;
+    if (r == 0 || pipelined_ms < best_pipelined) best_pipelined = pipelined_ms;
     std::fprintf(stderr,
-                 "[pinscope] rep %d: scheduler phases %.2f ms, pipeline %.2f ms\n",
-                 r + 1, phases_ms, pipeline_ms);
-    if (phases_csv != pipeline_csv) {
-      std::fprintf(stderr, "FATAL: schedulers disagree on exported bytes\n");
+                 "[pinscope] rep %d: study serial %.2f ms, pipelined %.2f ms\n",
+                 r + 1, serial_ms, pipelined_ms);
+    if (serial_csv != pipelined_csv) {
+      std::fprintf(stderr, "FATAL: thread count changed exported bytes\n");
       return 1;
     }
   }
   const double sched_speedup =
-      best_pipeline > 0.0 ? best_phases / best_pipeline : 0.0;
+      best_pipelined > 0.0 ? best_serial / best_pipelined : 0.0;
 
   const double speedup = best_on > 0.0 ? best_off / best_on : 0.0;
   char json[2048];
@@ -205,13 +200,13 @@ int main() {
       "                        \"entries\": %zu, \"hit_rate\": %.4f},\n"
       "  \"validation_cache\": {\"lookups\": %zu, \"hits\": %zu, \"misses\": %zu,\n"
       "                       \"entries\": %zu, \"hit_rate\": %.4f},\n"
-      "  \"scheduler\": {\"phases_ms\": %.3f, \"pipeline_ms\": %.3f,\n"
+      "  \"scheduler\": {\"serial_ms\": %.3f, \"pipelined_ms\": %.3f,\n"
       "                \"speedup\": %.2f, \"workers\": %d},\n",
       on_result.apps, on_result.destinations, scale_pct, reps, best_off,
       best_on, speedup, on_result.pinned, forged.lookups, forged.hits,
       forged.misses, forged.entries, forged.HitRate(), validation.lookups,
       validation.hits, validation.misses, validation.entries,
-      validation.HitRate(), best_phases, best_pipeline, sched_speedup,
+      validation.HitRate(), best_serial, best_pipelined, sched_speedup,
       bench_threads);
 
   return bench::WriteBenchJsonWithPhases("BENCH_dynamic.json", json,

@@ -87,14 +87,6 @@ std::optional<CliOptions> ParseArgs(int argc, const char* const* argv) {
       if (!v) return std::nullopt;
       opts.threads = std::atoi(v->c_str());
       if (opts.threads < 0) return std::nullopt;
-    } else if (TakeValue(arg, "--scheduler", cursor, value, ok)) {
-      if (!ok) return std::nullopt;
-      if (value != "phases" && value != "pipeline") {
-        std::fprintf(stderr, "--scheduler expects phases|pipeline, got '%s'\n",
-                     value.c_str());
-        return std::nullopt;
-      }
-      opts.scheduler = value;
     } else if (TakeOnOff(arg, "--scan-cache", cursor, opts.scan_cache, ok)) {
       if (!ok) return std::nullopt;
     } else if (TakeOnOff(arg, "--sim-cache", cursor, opts.sim_cache, ok)) {

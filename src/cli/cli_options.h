@@ -23,10 +23,6 @@ struct CliOptions {
   double scale = 0.1;
   std::uint64_t seed = 42;
   int threads = 0;  // 0 = hardware concurrency
-  /// --scheduler: "pipeline" (barrier-free per-app stage chains, the
-  /// default) or "phases" (corpus-wide fan-out per platform). Results are
-  /// byte-identical either way (DESIGN.md §13).
-  std::string scheduler = "pipeline";
   bool scan_cache = true;
   bool sim_cache = true;
   bool summary = true;

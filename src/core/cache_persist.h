@@ -5,8 +5,8 @@
 // chain validation (validation tuple → verdict, x509/validation_cache.h).
 // Both are keyed purely by content, so their memos are valid across process
 // boundaries: a second study over an overlapping corpus can skip every scan
-// and validation the first one already did. These helpers give Study and the
-// streaming driver one shared load/save path rooted at a --cache-dir.
+// and validation the first one already did. StudyCaches below is the one
+// place a study builds, loads and saves them, rooted at a --cache-dir.
 //
 // Failure policy (DESIGN.md §15): persistence is an accelerator, never a
 // dependency. A missing, truncated, corrupt, or version-skewed cache file
@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "dynamicanalysis/sim_fixtures.h"
@@ -67,12 +68,35 @@ void SaveStudyCaches(const std::string& cache_dir,
                      obs::Observer* observer,
                      const StudyCacheBaseline& baseline = {});
 
-/// Publishes the shared caches' counters as `cache.<family>.<field>` gauges
-/// (no-op without an observer). Shared by Study::Run and the streaming
-/// driver so both paths report identically. Gauges, not counters, so
-/// republishing is idempotent.
-void PublishCacheGauges(obs::Observer* observer,
-                        const staticanalysis::ScanCache* scan_cache,
-                        const dynamicanalysis::SimFixtures* fixtures);
+struct StudyOptions;
+
+/// A study's shared caches, built from its options in one place: the
+/// corpus-wide scan cache (options.scan_cache) and the simulation fixtures
+/// (options.sim_cache), their shard locks bound to the observer's
+/// contention metrics, and both warm-started from options.cache_dir.
+/// Study owns one for its lifetime; RunStreamingStudy builds one per run.
+class StudyCaches {
+ public:
+  explicit StudyCaches(const StudyOptions& options);
+
+  /// nullptr when the options turned the cache off.
+  [[nodiscard]] staticanalysis::ScanCache* scan() const { return scan_.get(); }
+  [[nodiscard]] dynamicanalysis::SimFixtures* fixtures() const {
+    return fixtures_.get();
+  }
+
+  /// End of a run: publishes the caches' counters as `cache.<family>.<field>`
+  /// gauges (republishing, not double-counting, on a second run) and, with a
+  /// cache_dir, saves whatever the run added to the warm-loaded caches.
+  void Finish() const;
+
+ private:
+  obs::Observer* observer_ = nullptr;
+  std::string cache_dir_;
+  std::unique_ptr<staticanalysis::ScanCache> scan_;
+  std::unique_ptr<dynamicanalysis::SimFixtures> fixtures_;
+  /// Entry counts from the warm load; Finish() skips unchanged caches.
+  StudyCacheBaseline baseline_;
+};
 
 }  // namespace pinscope::core

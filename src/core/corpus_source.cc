@@ -39,6 +39,11 @@ appmodel::App EcosystemCorpusSource::Hydrate(appmodel::Platform p,
   return eco_.apps(p)[index];
 }
 
+const appmodel::App* EcosystemCorpusSource::Resident(appmodel::Platform p,
+                                                    std::size_t index) const {
+  return &eco_.apps(p)[index];
+}
+
 bool EcosystemCorpusSource::NeedsCommonIosSettle(std::size_t index) const {
   return std::binary_search(common_ios_.begin(), common_ios_.end(), index);
 }

@@ -47,12 +47,20 @@ class CorpusSource {
   /// True if this iOS app belongs to the Common dataset — those apps get the
   /// longer §4.2.2 settle window (StudyOptions::common_ios_settle_seconds).
   [[nodiscard]] virtual bool NeedsCommonIosSettle(std::size_t index) const = 0;
+
+  /// The app at (p, index) if this source already holds it in memory for
+  /// the whole run, else nullptr. The study chain borrows a resident app
+  /// instead of paying Hydrate's copy; the two must be equal.
+  [[nodiscard]] virtual const appmodel::App* Resident(
+      appmodel::Platform /*p*/, std::size_t /*index*/) const {
+    return nullptr;
+  }
 };
 
-/// CorpusSource over a materialized Ecosystem: Hydrate copies the stored
-/// app. Costs nothing new in memory (the Ecosystem is already resident) —
-/// this is the equivalence anchor proving streamed == materialized bytes,
-/// and the adapter the CLI uses for generator-backed corpora.
+/// CorpusSource over a materialized Ecosystem: every app is resident, so the
+/// study chain borrows it (Hydrate still copies, for callers that want an
+/// owned App). This is the source Study runs over, and the adapter the CLI
+/// uses for generator-backed corpora.
 class EcosystemCorpusSource final : public CorpusSource {
  public:
   /// `eco` must outlive the source.
@@ -65,6 +73,8 @@ class EcosystemCorpusSource final : public CorpusSource {
   [[nodiscard]] appmodel::App Hydrate(appmodel::Platform p,
                                       std::size_t index) const override;
   [[nodiscard]] bool NeedsCommonIosSettle(std::size_t index) const override;
+  [[nodiscard]] const appmodel::App* Resident(appmodel::Platform p,
+                                              std::size_t index) const override;
 
  private:
   const store::Ecosystem& eco_;

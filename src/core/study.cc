@@ -1,39 +1,15 @@
 #include "core/study.h"
 
-#include <algorithm>
+#include <mutex>
+#include <utility>
 
-#include "core/cache_persist.h"
-#include "obs/telemetry.h"
+#include "core/stream_study.h"
 #include "util/error.h"
-#include "util/parallel.h"
 
 namespace pinscope::core {
 
 Study::Study(const store::Ecosystem& eco, StudyOptions options)
-    : eco_(&eco), options_(options) {
-  if (options_.scan_cache) {
-    scan_cache_ = std::make_unique<staticanalysis::ScanCache>();
-  }
-  if (options_.sim_cache) {
-    // Fixtures must share the pipeline's seed so shared forged leaves match
-    // what an unshared pipeline would forge.
-    sim_fixtures_ = std::make_unique<dynamicanalysis::SimFixtures>(
-        options_.dynamic.seed);
-  }
-  // Bind the shared caches' shard locks to contention metrics (and, via the
-  // retained lock names, to the run autopsy's lock-wait attribution). Safe
-  // even without an observer: an unattached registry records nothing.
-  if (obs::MetricsRegistry* metrics = obs::MetricsOf(options_.observer)) {
-    if (scan_cache_) scan_cache_->AttachMetrics(metrics);
-    if (sim_fixtures_) sim_fixtures_->AttachMetrics(metrics);
-  }
-  if (!options_.cache_dir.empty()) {
-    cache_baseline_ = LoadStudyCaches(
-        options_.cache_dir, scan_cache_.get(),
-        sim_fixtures_ ? sim_fixtures_->validation_cache() : nullptr,
-        options_.observer);
-  }
-}
+    : eco_(&eco), source_(eco), options_(std::move(options)), caches_(options_) {}
 
 std::map<std::size_t, AppResult> MergeByIndex(std::vector<AppResult> results) {
   std::map<std::size_t, AppResult> out;
@@ -47,151 +23,32 @@ std::map<std::size_t, AppResult> MergeByIndex(std::vector<AppResult> results) {
   return out;
 }
 
-void Study::RunStaticStage(AppResult& r) const {
-  obs::Observer* observer = options_.observer;
-  staticanalysis::StaticAnalysisOptions static_opts;
-  static_opts.ct_log = &eco_->ct_log();
-  static_opts.scan_cache = scan_cache_.get();
-  static_opts.observer = observer;
-  obs::ScopedTimer timer(
-      obs::PhaseHistogramOrNull(obs::MetricsOf(observer), "phase.static"));
-  r.static_report = staticanalysis::AnalyzeStatically(*r.app, static_opts);
-}
-
-void Study::RunDynamicStage(AppResult& r) const {
-  const appmodel::Platform p = r.app->meta.platform;
-  obs::Observer* observer = options_.observer;
-  dynamicanalysis::DynamicOptions dyn = options_.dynamic;
-  dyn.fixtures = sim_fixtures_.get();
-  dyn.observer = observer;
-  // §4.5: the Common-iOS re-run settles 2 minutes before capture.
-  if (p == appmodel::Platform::kIos) {
-    const store::Dataset& common =
-        eco_->dataset(store::DatasetId::kCommon, appmodel::Platform::kIos);
-    for (std::size_t idx : common.app_indices) {
-      if (idx == r.universe_index) {
-        dyn.settle_seconds = options_.common_ios_settle_seconds;
-        break;
-      }
-    }
-  }
-  // The pipeline derives its RNG from dyn.seed + the app id, so this call is
-  // self-contained: no draw here can perturb (or race with) any other app.
-  obs::ScopedTimer timer(
-      obs::PhaseHistogramOrNull(obs::MetricsOf(observer), "phase.dynamic"));
-  r.dynamic_report =
-      dynamicanalysis::RunDynamicAnalysis(*r.app, eco_->world(), dyn);
-}
-
-void Study::FinishApp(const AppResult& r) const {
-  obs::CounterOrNull(obs::MetricsOf(options_.observer), "study.apps_analyzed")
-      .Increment();
-  if (options_.on_result) options_.on_result(r);
-}
-
-AppResult Study::AnalyzeApp(appmodel::Platform p, std::size_t index) const {
-  AppResult r;
-  r.universe_index = index;
-  r.app = &eco_->apps(p)[index];
-
-  const obs::Span app_span =
-      obs::SpanFor(options_.observer, r.app->meta.app_id, "app",
-                   {{"platform", std::string(appmodel::PlatformName(p))}});
-  const std::uint64_t tkey =
-      obs::TelemetryKey(p == appmodel::Platform::kAndroid ? 0 : 1, index);
-  {
-    obs::StageWatch watch(options_.telemetry, tkey, appmodel::PlatformName(p),
-                          r.app->meta.app_id, "static");
-    RunStaticStage(r);
-  }
-  {
-    obs::StageWatch watch(options_.telemetry, tkey, appmodel::PlatformName(p),
-                          r.app->meta.app_id, "dynamic");
-    RunDynamicStage(r);
-  }
-  obs::CounterOrNull(obs::MetricsOf(options_.observer), "study.apps_analyzed")
-      .Increment();
-  obs::TelemetryItemDone(options_.telemetry, tkey);
-  return r;
-}
-
-std::vector<std::size_t> Study::PendingIndices(appmodel::Platform p) const {
-  const auto& results =
-      p == appmodel::Platform::kAndroid ? android_results_ : ios_results_;
-  std::vector<std::size_t> indices;
-  for (const store::DatasetId id : store::AllDatasets()) {
-    for (std::size_t idx : eco_->dataset(id, p).app_indices) {
-      if (results.contains(idx)) continue;
-      if (options_.app_filter && !options_.app_filter(p, idx)) continue;
-      indices.push_back(idx);
-    }
-  }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  return indices;
-}
-
 void Study::Run() {
-  const obs::Span run_span = obs::SpanFor(options_.observer, "study.run", "study");
-  obs::ScopedTimer run_timer(
-      obs::PhaseHistogramOrNull(obs::MetricsOf(options_.observer), "phase.study"));
-
-  // Study-level journal scope: empty platform/app sort it ahead of every
-  // per-app event. Used only from this (single) thread. Both schedulers emit
-  // the same study-level events with the same sequence numbers, so journal
-  // bytes never depend on the scheduler.
-  obs::EventScope study_log = obs::ScopeFor(options_.observer, "", "", "study");
-
-  if (options_.scheduler == SchedulerKind::kPipeline) {
-    RunPipelined(study_log);
-  } else {
-    RunPhased(study_log);
-  }
-  PublishCacheStats();
-  if (!options_.cache_dir.empty()) {
-    SaveStudyCaches(options_.cache_dir, scan_cache_.get(),
-                    sim_fixtures_ ? sim_fixtures_->validation_cache() : nullptr,
-                    options_.observer, cache_baseline_);
-  }
-}
-
-void Study::RunPhased(obs::EventScope& study_log) {
-  util::ParallelOptions par;
-  par.threads = options_.threads;
-  par.trace = obs::TraceOf(options_.observer);
-  for (const appmodel::Platform p :
-       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-    const bool android = p == appmodel::Platform::kAndroid;
-    const obs::Span platform_span = obs::SpanFor(
-        options_.observer, android ? "study.android" : "study.ios", "study");
-    par.trace_label = android ? "study.android" : "study.ios";
-    const std::vector<std::size_t> indices = PendingIndices(p);
-    obs::TelemetryAddTotal(options_.telemetry, indices.size());
-    study_log.Emit(obs::Severity::kInfo, "study.platform_start",
-                   {{"platform", appmodel::PlatformName(p)},
-                    {"apps", static_cast<std::uint64_t>(indices.size())}});
-    std::vector<AppResult> computed = util::ParallelMap(
-        indices.size(),
-        [&](std::size_t i) { return AnalyzeApp(p, indices[i]); }, par);
-
-    auto& results = android ? android_results_ : ios_results_;
-    auto merged = MergeByIndex(std::move(computed));
-    if (options_.on_result) {
-      for (const auto& [_, r] : merged) options_.on_result(r);
-    }
-    results.merge(merged);
-  }
-}
-
-void Study::PublishCacheStats() const {
-  PublishCacheGauges(options_.observer, scan_cache_.get(), sim_fixtures_.get());
+  StudyOptions run_options = options_;
+  run_options.app_filter = [this](appmodel::Platform p, std::size_t idx) {
+    return !results(p).contains(idx) &&
+           (!options_.app_filter || options_.app_filter(p, idx));
+  };
+  // The sink keeps every result; completion order is erased by the merge.
+  std::mutex mu;
+  std::vector<AppResult> android;
+  std::vector<AppResult> ios;
+  (void)RunStudyChain(source_, run_options, caches_,
+                      [&](appmodel::Platform p, AppResult&& r) {
+                        const std::lock_guard<std::mutex> lock(mu);
+                        (p == appmodel::Platform::kAndroid ? android : ios)
+                            .push_back(std::move(r));
+                      });
+  auto merged_android = MergeByIndex(std::move(android));
+  android_results_.merge(merged_android);
+  auto merged_ios = MergeByIndex(std::move(ios));
+  ios_results_.merge(merged_ios);
 }
 
 const AppResult& Study::result(appmodel::Platform p, std::size_t universe_index) const {
-  const auto& results =
-      p == appmodel::Platform::kAndroid ? android_results_ : ios_results_;
-  const auto it = results.find(universe_index);
-  if (it == results.end()) throw util::Error("Study::result: app not analyzed");
+  const auto& by_index = results(p);
+  const auto it = by_index.find(universe_index);
+  if (it == by_index.end()) throw util::Error("Study::result: app not analyzed");
   return it->second;
 }
 
@@ -205,11 +62,10 @@ std::vector<const AppResult*> Study::DatasetResults(store::DatasetId id,
 }
 
 std::vector<const AppResult*> Study::AllResults(appmodel::Platform p) const {
-  const auto& results =
-      p == appmodel::Platform::kAndroid ? android_results_ : ios_results_;
+  const auto& by_index = results(p);
   std::vector<const AppResult*> out;
-  out.reserve(results.size());
-  for (const auto& [_, r] : results) out.push_back(&r);
+  out.reserve(by_index.size());
+  for (const auto& [_, r] : by_index) out.push_back(&r);
   return out;
 }
 

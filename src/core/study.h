@@ -9,11 +9,11 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cache_persist.h"
+#include "core/corpus_source.h"
 #include "dynamicanalysis/pipeline.h"
 #include "dynamicanalysis/sim_fixtures.h"
 #include "obs/obs.h"
@@ -38,26 +38,13 @@ struct AppResult {
   const appmodel::App* app = nullptr;
   staticanalysis::StaticReport static_report;
   dynamicanalysis::DynamicReport dynamic_report;
-  /// Empty on success. Under the pipeline scheduler a stage failure is
-  /// recorded here ("<stage>: <message>") instead of aborting the study; the
-  /// app's remaining stages are skipped and its reports stay empty
-  /// (tests/core/sched_fault_test.cc). Always empty on the normal path.
+  /// Empty on success. A stage failure is recorded here ("<stage>:
+  /// <message>") instead of aborting the study; the app's remaining stages
+  /// are skipped and its reports stay empty (tests/core/sched_fault_test.cc).
+  /// Always empty on the normal path.
   std::string error;
 
   [[nodiscard]] bool failed() const { return !error.empty(); }
-};
-
-/// How Run() schedules the per-app work.
-enum class SchedulerKind {
-  /// Corpus-wide fan-out per platform: all of a platform's apps run through
-  /// one ParallelMap barrier before the next platform starts. The original
-  /// scheduler, kept as the equivalence baseline.
-  kPhases,
-  /// Barrier-free per-app stage chains (static → dynamic → verdict), each
-  /// run to completion on one worker (util/pipeline_scheduler.h): apps
-  /// overlap across workers and platforms, and results stream out as
-  /// chains complete.
-  kPipeline,
 };
 
 /// Study configuration.
@@ -66,9 +53,9 @@ struct StudyOptions {
   /// §4.5: the Common-iOS dataset is re-run with a 2-minute settle so
   /// associated-domain verification finishes before capture.
   int common_ios_settle_seconds = 120;
-  /// Worker threads for Run(): per-app work fans out across them and merges
-  /// back in universe-index order, so any value produces byte-identical
-  /// results (0 = hardware concurrency, 1 = serial).
+  /// Worker threads: each app's whole stage chain runs on one of them and
+  /// results merge back by universe index, so any value produces
+  /// byte-identical results (0 = hardware concurrency, 1 = serial).
   int threads = 1;
   /// Share one corpus-wide static-scan cache across every app of the study,
   /// so files shipped identically by many apps (third-party SDKs, §5
@@ -82,10 +69,10 @@ struct StudyOptions {
   /// exports are byte-identical either way (`ctest -L dynamic`); off is a
   /// debugging/measurement knob.
   bool sim_cache = true;
-  /// Optional observability sink for the whole study: Run() opens study- and
-  /// platform-level spans, AnalyzeApp records per-app spans + phase-duration
+  /// Optional observability sink for the whole study: the run opens a study
+  /// span, each app's static and dynamic stages record spans + phase-duration
   /// histograms, every layer below contributes counters, and the shared
-  /// caches publish their hit-rates as gauges when Run() finishes. Purely
+  /// caches publish their hit-rates as gauges when the run finishes. Purely
   /// observational: exports are byte-identical with or without an observer,
   /// at any thread count (DESIGN.md §11; `ctest -L obs`).
   obs::Observer* observer = nullptr;
@@ -99,35 +86,28 @@ struct StudyOptions {
   obs::Telemetry* telemetry = nullptr;
   /// Optional bounded interval timeline (obs/timeline.h) feeding the run
   /// autopsy (obs/autopsy.h): per-worker stage intervals plus the idle-time
-  /// taxonomy (lock-wait / tail-join / ramp-up),
-  /// O(workers · cap) memory at any corpus size. Pipeline scheduler only —
-  /// the phase-barrier path has no per-item chains to attribute (a timeline
-  /// attached there records nothing). Purely observational: exports,
-  /// journal, and run reports are byte-identical with a timeline attached
-  /// or not (`ctest -L autopsy`).
+  /// taxonomy (lock-wait / tail-join / ramp-up), O(workers · cap) memory at
+  /// any corpus size. Purely observational: exports, journal, and run
+  /// reports are byte-identical with a timeline attached or not
+  /// (`ctest -L autopsy`).
   obs::Timeline* timeline = nullptr;
-  /// Which scheduler Run() uses. Byte-identical exports, journal, and run
-  /// reports either way (`ctest -L sched`); kPhases is the measurement
-  /// baseline the equivalence suite compares against.
-  SchedulerKind scheduler = SchedulerKind::kPipeline;
-  /// Pipeline scheduler only: re-run a failed stage this many times before
-  /// recording the app's error verdict. Stage bodies overwrite their slot,
-  /// so a retried stage replays cleanly.
+  /// Re-run a failed stage this many times before recording the app's
+  /// error verdict. Stage bodies overwrite their slot, so a retried stage
+  /// replays cleanly.
   int stage_retries = 0;
-  /// Test-only fault injection for the pipeline scheduler (delays and
-  /// transient failures at stage entry, keyed by work-item index; see
-  /// util/pipeline_scheduler.h).
+  /// Test-only fault injection (delays and transient failures at stage
+  /// entry, keyed by work-item index and stage: 0 hydrate, 1 static,
+  /// 2 dynamic, 3 verdict; see util/pipeline_scheduler.h).
   const util::SchedulerFaultPlan* fault_plan = nullptr;
-  /// Streaming hook: called once per app as its result is finalized. Under
-  /// the pipeline scheduler this fires in completion order from worker
-  /// threads (synchronize externally; the callback must not touch exports);
-  /// under the phase scheduler it fires in universe-index order after each
-  /// platform merges.
+  /// Streaming hook: called once per app as its result is finalized, in
+  /// completion order from worker threads (synchronize externally; the
+  /// callback must not touch exports).
   std::function<void(const AppResult&)> on_result;
   /// When non-empty, the scan cache and validation memo warm-start from this
-  /// directory at construction and persist back when Run() completes
-  /// (core/cache_persist.h). A missing or corrupt file means a cold start;
-  /// results are byte-identical warm or cold — only speed changes.
+  /// directory when built and persist back when a run completes
+  /// (core/cache_persist.h StudyCaches). A missing or corrupt file means a
+  /// cold start; results are byte-identical warm or cold — only speed
+  /// changes.
   std::string cache_dir;
   /// When set, only apps for which the filter returns true are analyzed —
   /// the incremental re-analysis hook (changed-apps-only mode). Results and
@@ -137,8 +117,8 @@ struct StudyOptions {
 };
 
 /// Keys per-app results by universe index. Completion order is irrelevant:
-/// any permutation of `results` yields the same map (the merge invariant the
-/// parallel Run() relies on). Indices must be unique.
+/// any permutation of `results` yields the same map (the merge invariant
+/// Run() relies on). Indices must be unique.
 [[nodiscard]] std::map<std::size_t, AppResult> MergeByIndex(
     std::vector<AppResult> results);
 
@@ -148,33 +128,12 @@ class Study {
   explicit Study(const store::Ecosystem& eco, StudyOptions options = {});
 
   /// Executes static + dynamic analysis for every app appearing in any
-  /// dataset (each app analyzed once; dataset views share results). With
-  /// options.threads != 1 the per-app work units run on a thread pool; the
-  /// output is byte-identical to the serial run because every app derives
-  /// its RNG streams from the study seed + app identity (DESIGN.md §8).
-  /// options.scheduler picks between the phase-barrier fan-out and the
-  /// barrier-free per-app pipeline (DESIGN.md §13) — also byte-identical.
+  /// dataset (each app analyzed once; dataset views share results) through
+  /// the study chain of core/stream_study.h, borrowing each app from the
+  /// ecosystem. The output is byte-identical at any options.threads because
+  /// every app derives its RNG streams from the study seed + app identity
+  /// (DESIGN.md §8). A second call analyzes only apps not yet analyzed.
   void Run();
-
-  /// Analyzes one universe app, independent of any other app's state. This
-  /// is the parallel work unit; it never touches the result caches.
-  [[nodiscard]] AppResult AnalyzeApp(appmodel::Platform p,
-                                     std::size_t index) const;
-
-  /// The static stage of one app's chain: fills result.static_report.
-  /// result.app must be set; touches nothing outside the result (plus the
-  /// internally-synchronized shared caches).
-  void RunStaticStage(AppResult& result) const;
-
-  /// The dynamic stage of one app's chain: fills result.dynamic_report
-  /// (including the §4.5 Common-iOS settle override). Same isolation
-  /// contract as RunStaticStage.
-  void RunDynamicStage(AppResult& result) const;
-
-  /// Universe indices of every dataset member of `p` not yet analyzed, each
-  /// once, in ascending order (the deterministic work list both schedulers
-  /// consume).
-  [[nodiscard]] std::vector<std::size_t> PendingIndices(appmodel::Platform p) const;
 
   [[nodiscard]] const store::Ecosystem& ecosystem() const { return *eco_; }
 
@@ -192,44 +151,26 @@ class Study {
   /// The study's scan cache (nullptr when options.scan_cache is off). Read
   /// its Stats() after Run() for hit/dedup observability.
   [[nodiscard]] const staticanalysis::ScanCache* scan_cache() const {
-    return scan_cache_.get();
+    return caches_.scan();
   }
 
   /// The study's shared simulation fixtures (nullptr when options.sim_cache
   /// is off). Read forged_cache_stats()/validation_cache_stats() after Run()
   /// for hit-rate observability.
   [[nodiscard]] const dynamicanalysis::SimFixtures* sim_fixtures() const {
-    return sim_fixtures_.get();
+    return caches_.fixtures();
   }
 
  private:
-  /// The original per-platform fan-out: one ParallelMap barrier per
-  /// platform.
-  void RunPhased(obs::EventScope& study_log);
-
-  /// Barrier-free per-app stage chains over util::RunPipeline (defined in
-  /// core/pipeline_study.cc).
-  void RunPipelined(obs::EventScope& study_log);
-
-  /// The pipeline scheduler's "verdict" stage: per-app counters plus the
-  /// on_result streaming hook. (The phase path counts inside AnalyzeApp and
-  /// streams after its merge, keeping metric totals identical.)
-  void FinishApp(const AppResult& result) const;
-
-  /// Publishes the shared caches' counters as `cache.<family>.<field>`
-  /// gauges on the observer's registry (no-op without one). Gauges, not
-  /// counters, so calling Run() twice republishes instead of double-counts.
-  void PublishCacheStats() const;
+  [[nodiscard]] const std::map<std::size_t, AppResult>& results(
+      appmodel::Platform p) const {
+    return p == appmodel::Platform::kAndroid ? android_results_ : ios_results_;
+  }
 
   const store::Ecosystem* eco_;
+  EcosystemCorpusSource source_;
   StudyOptions options_;
-  /// Shared by every AnalyzeApp worker; internally synchronized.
-  std::unique_ptr<staticanalysis::ScanCache> scan_cache_;
-  /// Shared by every AnalyzeApp worker; immutable or internally synchronized.
-  std::unique_ptr<dynamicanalysis::SimFixtures> sim_fixtures_;
-  /// Entry counts from the constructor's warm load; Run()'s save skips any
-  /// cache that has not grown past this.
-  StudyCacheBaseline cache_baseline_;
+  StudyCaches caches_;
   std::map<std::size_t, AppResult> android_results_;
   std::map<std::size_t, AppResult> ios_results_;
 };

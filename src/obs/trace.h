@@ -2,8 +2,8 @@
 //
 // A TraceSink collects complete-duration events ("ph":"X") that render
 // directly in chrome://tracing / Perfetto: one study-level span, one span
-// per ParallelFor worker, one per app, and one per pipeline phase
-// (baseline, mitm, frida). Span is the RAII recorder; a default-constructed
+// per scheduler worker and stage, one per app stage, and one per pipeline
+// phase (baseline, mitm, frida). Span is the RAII recorder; a default-constructed
 // Span is a no-op, so call sites stay unconditional when tracing is off.
 //
 // Thread safety mirrors the study caches: events land in 16-way sharded

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "util/error.h"
-#include "util/parallel.h"
 
 namespace pinscope::util {
 
@@ -182,6 +181,18 @@ void WorkerLoop(Run& run, int worker, WorkerState& state) {
 }
 
 }  // namespace
+
+int ResolveThreads(int requested, std::size_t n) {
+  if (n == 0) return 0;
+  std::size_t t;
+  if (requested <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    t = hw == 0 ? 1 : hw;
+  } else {
+    t = static_cast<std::size_t>(requested);
+  }
+  return static_cast<int>(std::min(t, n));
+}
 
 PipelineResult RunPipeline(std::size_t n,
                            const std::vector<PipelineStage>& stages,

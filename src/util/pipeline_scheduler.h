@@ -10,12 +10,12 @@
 // their first stage's begin and their last stage's end at any instant (the
 // streaming memory bound core/stream_study relies on).
 //
-// Determinism contract: identical to util/parallel.h — a stage body must
-// write only per-item state and derive any RNG from the study seed plus the
-// item identity. Under that contract the results are invariant to worker
-// count and completion order, so the worker count is a pure throughput knob
-// (tests/core/sched_equivalence_test.cc proves the study's exports, journal,
-// and run reports are byte-identical to the phase-barrier schedule).
+// Determinism contract: a stage body must write only per-item state and
+// derive any RNG from the study seed plus the item identity (never from
+// shared stream position). Under that contract the results are invariant to
+// worker count and completion order, so the worker count is a pure
+// throughput knob (tests/core/sched_equivalence_test.cc proves the study's
+// exports, journal, and run reports are byte-identical to the serial run).
 #pragma once
 
 #include <atomic>
@@ -138,6 +138,12 @@ struct PipelineResult {
   /// Stage attempts beyond the first (only with max_stage_retries > 0).
   std::uint64_t retries = 0;
 };
+
+/// Number of workers a run over `n` items will actually use: `requested`,
+/// or the hardware concurrency when `requested` <= 0, but never more than
+/// `n` and never 0 for a non-empty run (even if the hardware concurrency is
+/// unknown).
+[[nodiscard]] int ResolveThreads(int requested, std::size_t n);
 
 /// Runs every item of [0, n) through `stages` in order, one whole chain per
 /// claim, with items overlapping across workers. Exceptions escaping a stage

@@ -25,7 +25,6 @@ TEST(ParseArgsTest, DefaultsMatchDocumentedHelp) {
   EXPECT_DOUBLE_EQ(opts->scale, 0.1);
   EXPECT_EQ(opts->seed, 42u);
   EXPECT_EQ(opts->threads, 0);
-  EXPECT_EQ(opts->scheduler, "pipeline");
   EXPECT_TRUE(opts->scan_cache);
   EXPECT_TRUE(opts->sim_cache);
   EXPECT_TRUE(opts->summary);
@@ -88,14 +87,10 @@ TEST(ParseArgsTest, OnOffFlagsAcceptBothSpellings) {
   EXPECT_FALSE(eq->summary);
 }
 
-TEST(ParseArgsTest, SchedulerFlagsAcceptBothSpellings) {
-  const auto spaced = Parse({"study", "--scheduler", "phases"});
-  ASSERT_TRUE(spaced.has_value());
-  EXPECT_EQ(spaced->scheduler, "phases");
-
-  const auto eq = Parse({"study", "--scheduler=pipeline"});
-  ASSERT_TRUE(eq.has_value());
-  EXPECT_EQ(eq->scheduler, "pipeline");
+TEST(ParseArgsTest, RetiredSchedulerFlagIsRejected) {
+  // One study chain remains, so there is no scheduler left to pick.
+  EXPECT_FALSE(Parse({"study", "--scheduler=pipeline"}).has_value());
+  EXPECT_FALSE(Parse({"study", "--scheduler", "phases"}).has_value());
 }
 
 TEST(ParseArgsTest, LogLevelAcceptsEverySeverity) {
@@ -116,8 +111,6 @@ TEST(ParseArgsTest, RejectsBadValues) {
   EXPECT_FALSE(Parse({"study", "--scan-cache", "maybe"}).has_value());
   EXPECT_FALSE(Parse({"study", "--summary=yes"}).has_value());
   EXPECT_FALSE(Parse({"study", "--threads", "-1"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--scheduler", "greedy"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--scheduler="}).has_value());
   // Retired: the scheduler has no ready queue to size.
   EXPECT_FALSE(Parse({"study", "--queue-depth", "8"}).has_value());
   EXPECT_FALSE(Parse({"study", "--scale", "0"}).has_value());

@@ -1,9 +1,8 @@
-// Property test for the result-merge step: whatever order per-app work
-// units complete in, merging yields the same aggregated study state. This is
-// the invariant that lets Study::Run() ignore scheduling entirely.
+// Property test for the result-merge step: whatever order per-app chains
+// complete in, merging yields the same aggregated study state. This is the
+// invariant that lets Study::Run() ignore scheduling entirely.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,30 +35,20 @@ std::string Fingerprint(const std::map<std::size_t, AppResult>& merged) {
   return out;
 }
 
-std::vector<AppResult> AnalyzeAll(const Study& study,
-                                  const store::Ecosystem& eco, Platform p) {
-  std::vector<std::size_t> indices;
-  for (const store::DatasetId id : store::AllDatasets()) {
-    for (std::size_t idx : eco.dataset(id, p).app_indices) {
-      indices.push_back(idx);
-    }
-  }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-
+/// Copies of every result a finished study holds for `p`, in index order.
+std::vector<AppResult> CopyResults(const Study& study, Platform p) {
   std::vector<AppResult> results;
-  results.reserve(indices.size());
-  for (std::size_t idx : indices) results.push_back(study.AnalyzeApp(p, idx));
+  for (const AppResult* r : study.AllResults(p)) results.push_back(*r);
   return results;
 }
 
 TEST(MergeOrderTest, AnyCompletionPermutationYieldsIdenticalResults) {
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(11);
-  const Study study(eco);
+  Study study(pinscope::testing::MakeStudyCorpus(11));
+  study.Run();
 
   for (const Platform p : {Platform::kAndroid, Platform::kIos}) {
     SCOPED_TRACE(PlatformName(p));
-    std::vector<AppResult> results = AnalyzeAll(study, eco, p);
+    std::vector<AppResult> results = CopyResults(study, p);
     ASSERT_GT(results.size(), 1u);
 
     const std::string reference = Fingerprint(MergeByIndex(results));
@@ -75,9 +64,9 @@ TEST(MergeOrderTest, AnyCompletionPermutationYieldsIdenticalResults) {
 }
 
 TEST(MergeOrderTest, MergedKeysAreSortedUniverseIndices) {
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(11);
-  const Study study(eco);
-  std::vector<AppResult> results = AnalyzeAll(study, eco, Platform::kAndroid);
+  Study study(pinscope::testing::MakeStudyCorpus(11));
+  study.Run();
+  std::vector<AppResult> results = CopyResults(study, Platform::kAndroid);
   const auto merged = MergeByIndex(std::move(results));
   std::size_t prev = 0;
   bool first = true;
@@ -92,9 +81,9 @@ TEST(MergeOrderTest, MergedKeysAreSortedUniverseIndices) {
 }
 
 TEST(MergeOrderTest, DuplicateIndexIsRejected) {
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(11);
-  const Study study(eco);
-  std::vector<AppResult> results = AnalyzeAll(study, eco, Platform::kAndroid);
+  Study study(pinscope::testing::MakeStudyCorpus(11));
+  study.Run();
+  std::vector<AppResult> results = CopyResults(study, Platform::kAndroid);
   ASSERT_FALSE(results.empty());
   results.push_back(results.front());
   EXPECT_THROW((void)MergeByIndex(std::move(results)), util::Error);

@@ -1,7 +1,7 @@
-// Scheduler-equivalence suite (DESIGN.md §13): the pipelined scheduler is a
-// pure execution-order change. For every cell of the grid
+// Scheduler-equivalence suite (DESIGN.md §13): running the study chain on
+// more workers is a pure execution-order change. For every cell of the grid
 //   seeds {7, 23} × threads {1, 4, hardware_concurrency} × caches {on, off}
-// the pipeline scheduler must reproduce the phase-barrier scheduler's
+// the study must reproduce its serial (threads = 1) run's
 //   (a) JSON and CSV dataset exports,
 //   (b) decision-journal JSONL (full kDebug fidelity), and
 //   (c) run-report Markdown + JSON (built from verdicts + journal — the
@@ -39,7 +39,6 @@ struct RunOutput {
 };
 
 struct RunConfig {
-  SchedulerKind scheduler = SchedulerKind::kPipeline;
   int threads = 1;
   bool caches = true;
 };
@@ -53,7 +52,6 @@ RunOutput RunStudy(const store::Ecosystem& eco, const RunConfig& config,
   observer.set_log(&log);
 
   StudyOptions opts;
-  opts.scheduler = config.scheduler;
   opts.threads = config.threads;
   opts.scan_cache = config.caches;
   opts.sim_cache = config.caches;
@@ -88,15 +86,14 @@ void ExpectSameBytes(const RunOutput& a, const RunOutput& b) {
 
 class SchedEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SchedEquivalenceTest, PipelineMatchesPhasesAcrossTheFullGrid) {
+TEST_P(SchedEquivalenceTest, ThreadsMatchSerialAcrossTheFullGrid) {
   const store::Ecosystem& eco =
       pinscope::testing::MakeStudyCorpus(GetParam());
 
   for (const bool caches : {true, false}) {
-    // The serial phase-barrier run is the reference for this cache setting.
-    const RunOutput reference = RunStudy(
-        eco, {.scheduler = SchedulerKind::kPhases, .threads = 1,
-              .caches = caches});
+    // The serial run is the reference for this cache setting.
+    const RunOutput reference =
+        RunStudy(eco, {.threads = 1, .caches = caches});
     ASSERT_FALSE(reference.json.empty());
     ASSERT_FALSE(reference.journal.empty());
 
@@ -104,11 +101,7 @@ TEST_P(SchedEquivalenceTest, PipelineMatchesPhasesAcrossTheFullGrid) {
       SCOPED_TRACE("caches=" + std::to_string(caches) +
                    " threads=" + std::to_string(threads));
       ExpectSameBytes(reference,
-                      RunStudy(eco, {.scheduler = SchedulerKind::kPhases,
-                                     .threads = threads, .caches = caches}));
-      ExpectSameBytes(reference,
-                      RunStudy(eco, {.scheduler = SchedulerKind::kPipeline,
-                                     .threads = threads, .caches = caches}));
+                      RunStudy(eco, {.threads = threads, .caches = caches}));
     }
   }
 }
@@ -117,16 +110,15 @@ TEST_P(SchedEquivalenceTest, SchedMetricsAreRealAndPurelyObservational) {
   const store::Ecosystem& eco =
       pinscope::testing::MakeStudyCorpus(GetParam());
   obs::Observer observer;
-  const RunOutput out = RunStudy(
-      eco,
-      {.scheduler = SchedulerKind::kPipeline, .threads = 4}, &observer);
+  const RunOutput out = RunStudy(eco, {.threads = 4}, &observer);
   ASSERT_FALSE(out.json.empty());
 
   const obs::MetricsSnapshot snap = observer.metrics().Snapshot();
-  // Three stages per app: the task counter must cover the whole corpus.
+  // Four stages per app (hydrate, static, dynamic, verdict): the task
+  // counter must cover the whole corpus.
   ASSERT_TRUE(snap.counters.count("sched.tasks"));
   EXPECT_EQ(snap.counters.at("sched.tasks"),
-            3 * snap.counters.at("study.apps_analyzed"));
+            4 * snap.counters.at("study.apps_analyzed"));
   EXPECT_EQ(snap.counters.at("sched.failures"), 0u);  // clean run
   EXPECT_EQ(snap.counters.at("sched.retries"), 0u);
   // Workers claim items from one atomic cursor: no scheduler lock exists.
@@ -134,14 +126,13 @@ TEST_P(SchedEquivalenceTest, SchedMetricsAreRealAndPurelyObservational) {
 }
 
 TEST_P(SchedEquivalenceTest, StreamedResultsMatchExportedVerdictSet) {
-  // on_result streams in completion order under the pipeline scheduler;
-  // collected and re-sorted it must be exactly the exported verdict set.
+  // on_result streams in completion order; collected and re-sorted it must
+  // be exactly the exported verdict set.
   const store::Ecosystem& eco =
       pinscope::testing::MakeStudyCorpus(GetParam());
   std::mutex mu;
   std::vector<std::string> streamed;
   StudyOptions opts;
-  opts.scheduler = SchedulerKind::kPipeline;
   opts.threads = 4;
   opts.on_result = [&](const AppResult& r) {
     std::lock_guard<std::mutex> lock(mu);

@@ -1,4 +1,4 @@
-// Fault-injection suite for the pipelined scheduler (DESIGN.md §13): a slow
+// Fault-injection suite for the study chain (DESIGN.md §13): a slow
 // or failing app must never stall its siblings, stage failures surface as
 // per-app error verdicts instead of aborted studies, and transient failures
 // recovered by retries leave no trace — exports and journal stay
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/export.h"
-#include "core/pipeline_study.h"
+#include "core/corpus_source.h"
 #include "core/study.h"
 #include "obs/obs.h"
 #include "report/run_report.h"
@@ -28,7 +28,27 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// One pipelined run plus everything it externalized.
+/// The chain's stage indices, as SchedulerFaultPlan::Set takes them.
+constexpr std::size_t kHydrate = 0;
+constexpr std::size_t kStatic = 1;
+constexpr std::size_t kDynamic = 2;
+
+/// One work item of the chain: (platform, universe index).
+using WorkItem = std::pair<appmodel::Platform, std::size_t>;
+
+/// The chain's work list in item order: every Android index, then every
+/// iOS index, each ascending.
+std::vector<WorkItem> WorkList(const store::Ecosystem& eco) {
+  const EcosystemCorpusSource source(eco);
+  std::vector<WorkItem> items;
+  for (const appmodel::Platform p :
+       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
+    for (const std::size_t idx : source.Indices(p)) items.emplace_back(p, idx);
+  }
+  return items;
+}
+
+/// One run plus everything it externalized.
 struct FaultRun {
   Study study;
   std::string json;
@@ -38,7 +58,7 @@ struct FaultRun {
   std::vector<std::string> failed_apps;
 };
 
-FaultRun RunPipelined(const store::Ecosystem& eco,
+FaultRun RunWithFaults(const store::Ecosystem& eco,
                       const util::SchedulerFaultPlan* plan, int retries,
                       std::function<void(const AppResult&)> on_result = {},
                       obs::Observer* external_observer = nullptr) {
@@ -49,7 +69,6 @@ FaultRun RunPipelined(const store::Ecosystem& eco,
   observer.set_log(&log);
 
   StudyOptions opts;
-  opts.scheduler = SchedulerKind::kPipeline;
   opts.threads = 4;
   opts.fault_plan = plan;
   opts.stage_retries = retries;
@@ -90,29 +109,27 @@ std::map<std::string, std::string> VerdictsByApp(const Study& study) {
 
 TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
-  const std::vector<PipelineWorkItem> work =
-      BuildPipelineWorkList(Study(eco, {}));
+  const std::vector<WorkItem> work = WorkList(eco);
   ASSERT_GT(work.size(), 8u);
 
-  // Work item 0's static stage sleeps. Under a phase barrier no app could
-  // finish before the slow one cleared static; barrier-free, the siblings'
-  // whole chains stream out during the sleep and the slow app lands in the
-  // back half of the completion order.
+  // Work item 0's static stage sleeps. With a barrier after each stage no
+  // app could finish before the slow one cleared static; barrier-free, the
+  // siblings' whole chains stream out during the sleep and the slow app
+  // lands in the back half of the completion order.
   util::SchedulerFaultPlan plan;
-  plan.Set(/*stage=*/0, /*item=*/0, {.delay = 750ms, .fail_times = 0});
+  plan.Set(kStatic, /*item=*/0, {.delay = 750ms, .fail_times = 0});
 
   std::mutex mu;
   std::vector<std::pair<appmodel::Platform, std::size_t>> completion_order;
   const FaultRun slow =
-      RunPipelined(eco, &plan, /*retries=*/0, [&](const AppResult& r) {
+      RunWithFaults(eco, &plan, /*retries=*/0, [&](const AppResult& r) {
         std::lock_guard<std::mutex> lock(mu);
         completion_order.emplace_back(r.app->meta.platform, r.universe_index);
       });
   EXPECT_TRUE(slow.failed_apps.empty());
   ASSERT_EQ(completion_order.size(), work.size());
 
-  const std::pair<appmodel::Platform, std::size_t> slow_app{
-      work[0].platform, work[0].universe_index};
+  const WorkItem slow_app = work[0];
   std::size_t position = completion_order.size();
   for (std::size_t i = 0; i < completion_order.size(); ++i) {
     if (completion_order[i] == slow_app) position = i;
@@ -122,7 +139,7 @@ TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
       << "siblings waited for the slow app";
 
   // The delay was pure schedule perturbation: results match a clean run.
-  const FaultRun clean = RunPipelined(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
   EXPECT_EQ(clean.json, slow.json);
   EXPECT_EQ(clean.csv, slow.csv);
   EXPECT_EQ(clean.journal, slow.journal);
@@ -131,23 +148,29 @@ TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
 TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
   util::SchedulerFaultPlan plan;
-  // More failures than the retry budget: item 2's static stage is terminal.
-  plan.Set(/*stage=*/0, /*item=*/2, {.delay = 0ms, .fail_times = 1000000});
+  // More failures than the retry budget: item 2's static stage and item 4's
+  // hydrate stage are terminal.
+  plan.Set(kStatic, /*item=*/2, {.delay = 0ms, .fail_times = 1000000});
+  plan.Set(kHydrate, /*item=*/4, {.delay = 0ms, .fail_times = 1000000});
 
-  const FaultRun out = RunPipelined(eco, &plan, /*retries=*/1);
-  ASSERT_EQ(out.failed_apps.size(), 1u);
+  const FaultRun out = RunWithFaults(eco, &plan, /*retries=*/1);
+  ASSERT_EQ(out.failed_apps.size(), 2u);
 
-  const std::vector<PipelineWorkItem> work =
-      BuildPipelineWorkList(Study(eco, {}));
-  const AppResult& failed =
-      out.study.result(work[2].platform, work[2].universe_index);
-  ASSERT_TRUE(failed.failed());
-  EXPECT_NE(failed.error.find("static:"), std::string::npos) << failed.error;
-  // The fault fired before the stage body: the report was never written.
-  EXPECT_TRUE(failed.static_report.app_id.empty());
+  for (const auto& [index, stage] :
+       {std::pair<std::size_t, std::string>{2, "static:"}, {4, "hydrate:"}}) {
+    const WorkItem item = WorkList(eco)[index];
+    // Even an app whose hydration failed has a result: the study holds it
+    // resident, so it keeps its identity.
+    const AppResult& failed = out.study.result(item.first, item.second);
+    ASSERT_TRUE(failed.failed());
+    EXPECT_EQ(failed.error.rfind(stage, 0), 0u) << failed.error;
+    EXPECT_EQ(failed.app, &eco.apps(item.first)[item.second]);
+    // The fault fired before the stage body: the report was never written.
+    EXPECT_TRUE(failed.static_report.app_id.empty());
+  }
 
   // Every sibling's verdicts are untouched by the failure.
-  const FaultRun clean = RunPipelined(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
   EXPECT_TRUE(clean.failed_apps.empty());
   const std::map<std::string, std::string> clean_verdicts =
       VerdictsByApp(clean.study);
@@ -155,7 +178,7 @@ TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
       VerdictsByApp(out.study);
   ASSERT_EQ(clean_verdicts.size(), faulty_verdicts.size());
   for (const auto& [app, verdict] : clean_verdicts) {
-    if (app == out.failed_apps[0]) continue;
+    if (app == out.failed_apps[0] || app == out.failed_apps[1]) continue;
     EXPECT_EQ(faulty_verdicts.at(app), verdict) << app;
   }
   // And the study as a whole completed: exports and journal exist.
@@ -165,12 +188,12 @@ TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
 
 TEST(SchedFaultTest, TransientFailureRecoversWithRetriesByteIdentically) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
-  const FaultRun clean = RunPipelined(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
 
   util::SchedulerFaultPlan plan;
-  plan.Set(/*stage=*/0, /*item=*/1, {.delay = 5ms, .fail_times = 2});
-  plan.Set(/*stage=*/1, /*item=*/3, {.delay = 0ms, .fail_times = 1});
-  const FaultRun retried = RunPipelined(eco, &plan, /*retries=*/2);
+  plan.Set(kStatic, /*item=*/1, {.delay = 5ms, .fail_times = 2});
+  plan.Set(kDynamic, /*item=*/3, {.delay = 0ms, .fail_times = 1});
+  const FaultRun retried = RunWithFaults(eco, &plan, /*retries=*/2);
 
   // Both faults were transient and the budget covered them: no error
   // verdicts, and — because injection precedes the stage body — the retried
@@ -184,16 +207,14 @@ TEST(SchedFaultTest, TransientFailureRecoversWithRetriesByteIdentically) {
 TEST(SchedFaultTest, DynamicStageFaultIsAttributedToTheDynamicStage) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(23);
   util::SchedulerFaultPlan plan;
-  plan.Set(/*stage=*/1, /*item=*/0, {.delay = 0ms, .fail_times = 1000000});
+  plan.Set(kDynamic, /*item=*/0, {.delay = 0ms, .fail_times = 1000000});
 
   obs::Observer observer;
-  const FaultRun out = RunPipelined(eco, &plan, /*retries=*/0, {}, &observer);
+  const FaultRun out = RunWithFaults(eco, &plan, /*retries=*/0, {}, &observer);
   ASSERT_EQ(out.failed_apps.size(), 1u);
 
-  const std::vector<PipelineWorkItem> work =
-      BuildPipelineWorkList(Study(eco, {}));
-  const AppResult& failed =
-      out.study.result(work[0].platform, work[0].universe_index);
+  const WorkItem item = WorkList(eco)[0];
+  const AppResult& failed = out.study.result(item.first, item.second);
   ASSERT_TRUE(failed.failed());
   EXPECT_NE(failed.error.find("dynamic:"), std::string::npos) << failed.error;
   // The chain ran front to back: static completed before the dynamic fault.

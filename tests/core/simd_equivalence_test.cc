@@ -7,10 +7,10 @@
 //   (b) decision-journal JSONL (full kDebug fidelity), and
 //   (c) run-report Markdown + JSON,
 // byte for byte. The PINSCOPE_NO_SIMD knob is read when a prefilter is
-// built; a level assertion checks that the knob takes effect. Caveat:
-// AnalyzeStatically builds its Scanner once per process, on first use, so
-// the forced-portable study reuses the scanner of the first study. A second
-// test scans every tree of the same corpora with and without any prefilter.
+// built, and AnalyzeStatically builds its Scanner (and so its prefilter) per
+// call, so the forced-portable study really scans with the portable kernel;
+// a level assertion checks that the knob takes effect. A second test scans
+// every tree of the same corpora with and without any prefilter.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,7 +1,9 @@
 // Streaming-study equivalence suite (DESIGN.md §15). Three contracts:
 //
 //  1. Streamed == materialized: a streaming run over an EcosystemCorpusSource
-//     exports byte-identical JSON/CSV (and an identical verdict set) to the
+//     (whose apps the chain borrows) and over a source that keeps nothing
+//     resident (so the chain copies every app through Hydrate) exports
+//     byte-identical JSON/CSV, verdicts, debug journal and run report to the
 //     batch Study over the same ecosystem, for every cell of
 //     seeds {7, 23} × threads {1, 4, hardware}.
 //  2. Warm == cold: re-running with a persisted --cache-dir changes no
@@ -28,6 +30,8 @@
 #include "core/stream_export.h"
 #include "core/stream_study.h"
 #include "core/study.h"
+#include "obs/obs.h"
+#include "report/run_report.h"
 #include "store/generator.h"
 #include "testing/fixtures.h"
 #include "testing/thread_grid.h"
@@ -41,6 +45,59 @@ struct RunBytes {
   std::string json;
   std::string csv;
   std::string verdicts;
+  /// Debug journal and run report (Markdown + JSON, from verdicts and
+  /// journal only); filled by RunStreamed and RunMaterialized.
+  std::string journal;
+  std::string report;
+};
+
+/// The same ecosystem with nothing resident: Resident() stays nullptr, so
+/// the study chain copies every app through Hydrate.
+class CopyingSource final : public CorpusSource {
+ public:
+  explicit CopyingSource(const store::Ecosystem& eco) : inner_(eco) {}
+
+  [[nodiscard]] const appmodel::ServerWorld& world() const override {
+    return inner_.world();
+  }
+  [[nodiscard]] const x509::CtLog& ct_log() const override {
+    return inner_.ct_log();
+  }
+  [[nodiscard]] std::vector<std::size_t> Indices(
+      appmodel::Platform p) const override {
+    return inner_.Indices(p);
+  }
+  [[nodiscard]] appmodel::App Hydrate(appmodel::Platform p,
+                                      std::size_t index) const override {
+    return inner_.Hydrate(p, index);
+  }
+  [[nodiscard]] bool NeedsCommonIosSettle(std::size_t index) const override {
+    return inner_.NeedsCommonIosSettle(index);
+  }
+
+ private:
+  EcosystemCorpusSource inner_;
+};
+
+/// Captures a run's debug journal, then renders it with `verdicts`.
+class JournalCapture {
+ public:
+  JournalCapture() { observer_.set_log(&log_); }
+  [[nodiscard]] obs::Observer* observer() { return &observer_; }
+
+  void Render(const std::vector<report::AppVerdict>& verdicts, RunBytes& out) {
+    out.journal = log_.ToJsonl();
+    report::RunReportInput input;
+    input.verdicts = verdicts;
+    const std::vector<obs::LogEvent> events = log_.SortedEvents();
+    input.events = &events;
+    out.report = report::WriteRunReportMarkdown(input) +
+                 report::WriteRunReportJson(input);
+  }
+
+ private:
+  obs::Observer observer_;
+  obs::EventLog log_{obs::Severity::kDebug};
 };
 
 std::string RenderVerdicts(const std::vector<report::AppVerdict>& verdicts) {
@@ -59,30 +116,43 @@ struct StreamConfig {
   int threads = 1;
   std::string cache_dir;
   std::function<bool(appmodel::Platform, std::size_t)> app_filter;
+  /// Stream through CopyingSource instead of EcosystemCorpusSource.
+  bool copy_apps = false;
 };
 
 RunBytes RunStreamed(const store::Ecosystem& eco, const StreamConfig& config,
                      StreamExporter* exporter_out = nullptr) {
-  const EcosystemCorpusSource source(eco);
+  const EcosystemCorpusSource resident(eco);
+  const CopyingSource copying(eco);
+  const CorpusSource& source =
+      config.copy_apps ? static_cast<const CorpusSource&>(copying) : resident;
+  JournalCapture capture;
   StudyOptions opts;
   opts.threads = config.threads;
   opts.cache_dir = config.cache_dir;
   opts.app_filter = config.app_filter;
+  opts.observer = capture.observer();
   StreamExporter local;
   StreamExporter& exporter =
       exporter_out != nullptr ? *exporter_out : local;
   (void)RunStreamingStudy(source, opts, exporter);
-  return {exporter.FinishJson(), exporter.FinishCsv(),
-          RenderVerdicts(exporter.FinishVerdicts())};
+  RunBytes out{exporter.FinishJson(), exporter.FinishCsv(),
+               RenderVerdicts(exporter.FinishVerdicts()), {}, {}};
+  capture.Render(exporter.FinishVerdicts(), out);
+  return out;
 }
 
 RunBytes RunMaterialized(const store::Ecosystem& eco, int threads) {
+  JournalCapture capture;
   StudyOptions opts;
   opts.threads = threads;
+  opts.observer = capture.observer();
   Study study(eco, opts);
   study.Run();
-  return {ExportStudyJson(study), ExportStudyCsv(study),
-          RenderVerdicts(CollectAppVerdicts(study))};
+  RunBytes out{ExportStudyJson(study), ExportStudyCsv(study),
+               RenderVerdicts(CollectAppVerdicts(study)), {}, {}};
+  capture.Render(CollectAppVerdicts(study), out);
+  return out;
 }
 
 void ExpectSameBytes(const RunBytes& a, const RunBytes& b) {
@@ -99,12 +169,20 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesMaterializedAcrossTheGrid) {
       pinscope::testing::MakeStudyCorpus(GetParam());
   const RunBytes reference = RunMaterialized(eco, /*threads=*/1);
   ASSERT_FALSE(reference.json.empty());
+  ASSERT_FALSE(reference.journal.empty());
 
   for (const int threads : pinscope::testing::ThreadGrid()) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    StreamConfig config;
-    config.threads = threads;
-    ExpectSameBytes(reference, RunStreamed(eco, config));
+    for (const bool copy_apps : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " copy_apps=" + std::to_string(copy_apps));
+      StreamConfig config;
+      config.threads = threads;
+      config.copy_apps = copy_apps;
+      const RunBytes streamed = RunStreamed(eco, config);
+      ExpectSameBytes(reference, streamed);
+      EXPECT_EQ(reference.journal, streamed.journal);
+      EXPECT_EQ(reference.report, streamed.report);
+    }
   }
 }
 
@@ -194,7 +272,7 @@ TEST_P(StreamEquivalenceTest, IncrementalReanalysisMatchesFullReanalysis) {
   merged.MergeBase(baseline);
   ExpectSameBytes(reference,
                   {merged.FinishJson(), merged.FinishCsv(),
-                   RenderVerdicts(merged.FinishVerdicts())});
+                   RenderVerdicts(merged.FinishVerdicts()), {}, {}});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamEquivalenceTest,

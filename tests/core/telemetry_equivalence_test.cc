@@ -212,14 +212,13 @@ TEST(TelemetryWatchdogTest, InjectedDelayFiresOnceAndNamesTheStraggler) {
   const RunBytes reference =
       RunMaterialized(eco, /*threads=*/1, /*with_telemetry=*/false, "wref");
 
-  // Work item 0 of the pipeline scheduler is the first pending android app;
-  // stall its dynamic stage (stage index 1) long enough that every other
-  // chain drains and the sampler sees a completion-free window.
+  // Work item 0 of the study chain is the first android app; stall its
+  // dynamic stage (stage index 2, after hydrate and static) long enough that
+  // every other chain drains and the sampler sees a completion-free window.
   StudyOptions opts;
   opts.threads = 4;
-  opts.scheduler = SchedulerKind::kPipeline;
   util::SchedulerFaultPlan faults;
-  faults.Set(/*stage=*/1, /*item=*/0, {std::chrono::milliseconds(1500), 0});
+  faults.Set(/*stage=*/2, /*item=*/0, {std::chrono::milliseconds(1500), 0});
   opts.fault_plan = &faults;
 
   obs::TelemetryOptions topts;
@@ -228,9 +227,8 @@ TEST(TelemetryWatchdogTest, InjectedDelayFiresOnceAndNamesTheStraggler) {
   obs::Telemetry telemetry(nullptr, topts);
   opts.telemetry = &telemetry;
 
-  Study probe(eco, {});
   const std::vector<std::size_t> android =
-      probe.PendingIndices(appmodel::Platform::kAndroid);
+      EcosystemCorpusSource(eco).Indices(appmodel::Platform::kAndroid);
   ASSERT_FALSE(android.empty());
   const std::string expected_app =
       eco.apps(appmodel::Platform::kAndroid)[android.front()].meta.app_id;

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "util/parallel.h"
+#include "util/pipeline_scheduler.h"
 
 namespace pinscope::obs {
 namespace {
@@ -20,10 +20,11 @@ TEST(CounterTest, SumsExactlyUnderParallelWriters) {
   Counter counter = registry.counter("test.adds");
   constexpr std::size_t kItems = 10'000;
 
-  util::ParallelOptions par;
+  util::PipelineOptions par;
   par.threads = 8;
-  util::ParallelFor(
-      kItems, [&](std::size_t i) { counter.Add(i % 3 == 0 ? 2 : 1); }, par);
+  (void)util::RunPipeline(
+      kItems, {{"add", [&](std::size_t i) { counter.Add(i % 3 == 0 ? 2 : 1); }}},
+      par);
 
   std::uint64_t expected = 0;
   for (std::size_t i = 0; i < kItems; ++i) expected += i % 3 == 0 ? 2 : 1;
@@ -155,10 +156,11 @@ TEST(HistogramTest, CountsExactlyUnderParallelRecorders) {
   MetricsRegistry registry;
   Histogram h = registry.histogram("test.par", {0.5});
   constexpr std::size_t kItems = 8'000;
-  util::ParallelOptions par;
+  util::PipelineOptions par;
   par.threads = 8;
-  util::ParallelFor(
-      kItems, [&](std::size_t i) { h.Record(i % 2 == 0 ? 0.0 : 1.0); }, par);
+  (void)util::RunPipeline(
+      kItems, {{"record", [&](std::size_t i) { h.Record(i % 2 == 0 ? 0.0 : 1.0); }}},
+      par);
   const HistogramSnapshot snap = registry.Snapshot().histograms.at("test.par");
   EXPECT_EQ(snap.count, kItems);
   EXPECT_EQ(snap.buckets[0], kItems / 2);

@@ -7,7 +7,7 @@
 
 #include "appmodel/android_package.h"
 #include "staticanalysis/scanner.h"
-#include "util/parallel.h"
+#include "util/pipeline_scheduler.h"
 #include "util/rng.h"
 #include "x509/issuer.h"
 #include "x509/pem.h"
@@ -192,11 +192,14 @@ TEST(ScanCacheTest, ConcurrentSharedCacheScansAreIdentical) {
 
   ScanCache cache;
   std::vector<ScanResult> concurrent(apps.size());
-  util::ParallelOptions par;
+  util::PipelineOptions par;
   par.threads = 8;
-  util::ParallelFor(
+  const util::PipelineResult run = util::RunPipeline(
       apps.size(),
-      [&](std::size_t i) { concurrent[i] = scanner.Scan(apps[i], &cache); }, par);
+      {{"scan",
+        [&](std::size_t i) { concurrent[i] = scanner.Scan(apps[i], &cache); }}},
+      par);
+  ASSERT_TRUE(run.failures.empty());
 
   for (std::size_t i = 0; i < apps.size(); ++i) {
     SCOPED_TRACE("app " + std::to_string(i));

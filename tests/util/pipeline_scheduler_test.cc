@@ -2,8 +2,10 @@
 // (util/pipeline_scheduler.h): no task lost or duplicated across worker
 // counts, every stage of an item on one thread in chain order, at most
 // `workers` items in flight, clean shutdown with in-flight work, failure
-// isolation + retries, per-item dependency ordering under a seeded random
-// perturbation of stage timings, and idle attribution on the timeline.
+// isolation + retries (failures collected in item order, non-std exceptions
+// included), a 10k-item stress run, per-item dependency ordering under a
+// seeded random perturbation of stage timings, worker-count resolution, and
+// idle attribution on the timeline.
 #include "util/pipeline_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +21,6 @@
 #include "obs/timeline.h"
 #include "testing/thread_grid.h"
 #include "util/error.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace pinscope::util {
@@ -251,6 +252,45 @@ TEST(PipelineSchedulerTest, FaultPlanInjectsAtStageEntry) {
   // fail_times exhausted: the same plan lets a second run through.
   const PipelineResult second = RunPipeline(4, stages, options);
   EXPECT_TRUE(second.failures.empty());
+}
+
+TEST(PipelineSchedulerTest, StressTenThousandTinyItems) {
+  constexpr std::size_t kItems = 10'000;
+  std::atomic<std::size_t> sum{0};
+  ExecutionMatrix matrix(kItems, 1);
+  const std::vector<PipelineStage> stages = {
+      {"tiny", [&](std::size_t i) {
+         matrix.at(i, 0)++;
+         sum.fetch_add(i);
+       }},
+  };
+  PipelineOptions options;
+  options.threads = 16;
+  EXPECT_TRUE(RunPipeline(kItems, stages, options).failures.empty());
+  EXPECT_EQ(sum.load(), kItems * (kItems - 1) / 2);
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(matrix.at(i, 0).load(), 1);
+}
+
+TEST(PipelineSchedulerTest, NonStdExceptionIsCollected) {
+  const std::vector<PipelineStage> stages = {
+      {"odd", [](std::size_t i) {
+         if (i == 1) throw 42;
+       }},
+  };
+  PipelineOptions options;
+  options.threads = 2;
+  const PipelineResult result = RunPipeline(2, stages, options);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].item, 1u);
+  EXPECT_EQ(result.failures[0].message, "unknown exception");
+}
+
+TEST(ResolveThreadsTest, ClampsAndDefaults) {
+  EXPECT_EQ(ResolveThreads(4, 0), 0);    // empty range needs no workers
+  EXPECT_EQ(ResolveThreads(4, 2), 2);    // never more workers than items
+  EXPECT_EQ(ResolveThreads(4, 100), 4);  // explicit request honored
+  EXPECT_EQ(ResolveThreads(1, 100), 1);
+  EXPECT_GE(ResolveThreads(0, 100), 1);  // 0 = hardware concurrency, >= 1
 }
 
 TEST(PipelineSchedulerTest, EmptyInputsAreNoOps) {

@@ -52,8 +52,6 @@ core::StudyOptions StudyOptionsFor(const CliOptions& opts,
                                    obs::Observer* observer) {
   core::StudyOptions sopts;
   sopts.threads = opts.threads;
-  sopts.scheduler = opts.scheduler == "phases" ? core::SchedulerKind::kPhases
-                                               : core::SchedulerKind::kPipeline;
   sopts.scan_cache = opts.scan_cache;
   sopts.sim_cache = opts.sim_cache;
   sopts.cache_dir = opts.cache_dir;
@@ -135,16 +133,9 @@ bool WantsAutopsy(const CliOptions& opts) {
 }
 
 /// Builds the timeline the perf surfaces consume, or nullptr when none was
-/// requested. Warns when the phase-barrier scheduler is selected: it has no
-/// per-item chains, so the timeline would stay empty.
+/// requested.
 std::unique_ptr<obs::Timeline> StartTimeline(const CliOptions& opts) {
   if (!WantsAutopsy(opts)) return nullptr;
-  if (opts.scheduler == "phases") {
-    std::fprintf(stderr,
-                 "warning: --scheduler=phases has no per-app stage chains; "
-                 "the run autopsy will be empty (use the pipeline "
-                 "scheduler)\n");
-  }
   obs::TimelineOptions topts;
   topts.per_worker_cap = static_cast<std::size_t>(opts.timeline_cap);
   return std::make_unique<obs::Timeline>(topts);
@@ -269,12 +260,6 @@ int Usage() {
       "  --seed N            generation seed (default 42)\n"
       "  --threads T         study worker threads; 0 = all hardware threads\n"
       "                      (default 0; results are identical for every T)\n"
-      "  --scheduler=KIND    study execution model: 'pipeline' (each app's\n"
-      "                      whole stage chain runs on one worker; apps\n"
-      "                      overlap across workers and results stream out\n"
-      "                      as they finish) or 'phases' (corpus-wide fan-out\n"
-      "                      per platform). Default pipeline; results are\n"
-      "                      byte-identical either way (DESIGN.md §13)\n"
       "  --scan-cache=on|off corpus-wide static-scan cache: shared SDK files\n"
       "                      are scanned once per study (default on; results\n"
       "                      are byte-identical either way)\n"
