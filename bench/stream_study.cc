@@ -121,7 +121,6 @@ double RecordCostNsPerInterval(int reps) {
     obs::Timeline timeline;
     const std::uint32_t label = timeline.InternStage("stage");
     timeline.ReserveLanes(1);
-    timeline.MarkRunStart();
     const auto start = std::chrono::steady_clock::now();
     for (std::int64_t i = 0; i < kCalls; i += 2) {
       timeline.RecordStage(0, static_cast<std::uint64_t>(i), label, i, i + 1);

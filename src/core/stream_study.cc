@@ -1,5 +1,6 @@
 #include "core/stream_study.h"
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "dynamicanalysis/pipeline.h"
 #include "obs/telemetry.h"
+#include "obs/timeline.h"
 #include "staticanalysis/static_report.h"
 #include "util/pipeline_scheduler.h"
 
@@ -38,10 +40,147 @@ std::unique_ptr<ChainPayload> PayloadFor(std::size_t index,
   return payload;
 }
 
+/// The (platform, universe index) key timeline intervals and telemetry
+/// entries carry; the autopsy resolves app ids from it at report time.
 std::uint64_t KeyOf(const ChainSlot& slot) {
   return obs::TelemetryKey(
       slot.platform == appmodel::Platform::kAndroid ? 0 : 1, slot.index);
 }
+
+/// The chain's one run-event subscriber: fans each scheduler event out to
+/// whichever of metrics, telemetry, timeline and trace the options attach.
+/// A stage's histogram sample and trace event are settled at its worker's
+/// next stage begin or end, so the gap between two stages holds the claim
+/// loop alone and the autopsy's unattributed residual stays the scheduler's.
+class ChainEvents {
+  /// Per-worker state, touched only by that worker's events.
+  struct Worker {
+    bool unsettled = false;  ///< A finished stage awaits Settle.
+    obs::Histogram phase;    ///< Its phase.<stage>; none if it failed.
+    std::chrono::steady_clock::time_point begin;
+    std::chrono::steady_clock::duration elapsed{};
+    obs::TraceEvent span;  ///< Named and labeled at the stage's begin.
+  };
+
+ public:
+  ChainEvents(const StudyOptions& options, const std::vector<ChainSlot>& slots,
+              const std::vector<util::PipelineStage>& stages)
+      : slots_(slots),
+        last_stage_(stages.size() - 1),
+        telemetry_(options.telemetry),
+        timeline_(options.timeline),
+        trace_(options.observer != nullptr ? &options.observer->trace()
+                                           : nullptr) {
+    // A sink switched off before the run would drop every event anyway.
+    if (trace_ != nullptr && !trace_->enabled()) trace_ = nullptr;
+    obs::MetricsRegistry* metrics = obs::MetricsOf(options.observer);
+    tasks_ = obs::CounterOrNull(metrics, "sched.tasks");
+    retries_ = obs::CounterOrNull(metrics, "sched.retries");
+    failures_ = obs::CounterOrNull(metrics, "sched.failures");
+    for (const util::PipelineStage& stage : stages) {
+      phases_.push_back(obs::PhaseHistogramOrNull(metrics, "phase." + stage.name));
+    }
+  }
+
+  void OnEvent(const util::RunEvent& event) {
+    using Kind = util::RunEvent::Kind;
+    const std::uint64_t key =
+        event.kind >= Kind::kStageBegin ? KeyOf(slots_[event.item]) : 0;
+    switch (event.kind) {
+      case Kind::kRunBegin:
+        workers_ = std::make_unique<Worker[]>(event.worker);
+        break;
+      case Kind::kWorkerEnd:
+        Settle(workers_[event.worker]);
+        if (trace_ != nullptr) {
+          trace_->AddComplete(
+              {.name = "sched.worker",
+               .category = "sched",
+               .args = {{"worker", std::to_string(event.worker)}}},
+              event.time - event.elapsed, event.elapsed);
+        }
+        break;
+      case Kind::kStageBegin:
+        OnStageBegin(event, key);
+        break;
+      case Kind::kStageEnd:
+      case Kind::kStageFailed:
+        OnStageEnd(event, key);
+        break;
+      case Kind::kRetry:
+        retries_.Increment();
+        break;
+      case Kind::kRunEnd:
+      case Kind::kWorkerBegin:
+        break;
+    }
+    if (timeline_ != nullptr) timeline_->OnEvent(event, key);
+  }
+
+ private:
+  void OnStageBegin(const util::RunEvent& event, std::uint64_t key) {
+    Worker& worker = workers_[event.worker];
+    Settle(worker);
+    if (telemetry_ == nullptr && trace_ == nullptr) return;
+    // Hydrate begins before the app has an identity, so it is labeled by
+    // corpus index. Only this item's chain, on this worker, touches its slot.
+    const ChainSlot& slot = slots_[event.item];
+    std::string app_label = slot.payload != nullptr
+                                ? slot.payload->result.app->meta.app_id
+                                : "app#" + std::to_string(slot.index);
+    const std::string_view platform = appmodel::PlatformName(slot.platform);
+    if (telemetry_ != nullptr) {
+      telemetry_->OnStageStart(key, platform, app_label, event.stage_name);
+    }
+    if (trace_ != nullptr) {
+      worker.span = {.name = std::move(app_label),
+                     .category = "app",
+                     .args = {{"platform", std::string(platform)},
+                              {"stage", std::string(event.stage_name)}}};
+    }
+  }
+
+  void OnStageEnd(const util::RunEvent& event, std::uint64_t key) {
+    const bool failed = event.kind == util::RunEvent::Kind::kStageFailed;
+    (failed ? failures_ : tasks_).Increment();
+    if (telemetry_ != nullptr) {
+      // A failed stage never completed (no OnStageEnd), but its chain is
+      // done: the scheduler skips the item's later stages.
+      if (!failed) telemetry_->OnStageEnd(key, event.stage_name);
+      if (failed || event.stage == last_stage_) telemetry_->OnItemDone(key);
+    }
+    Worker& worker = workers_[event.worker];
+    worker.unsettled = true;
+    worker.phase = failed ? obs::Histogram() : phases_[event.stage];
+    worker.begin = event.time - event.elapsed;
+    worker.elapsed = event.elapsed;
+    if (failed && trace_ != nullptr) {
+      worker.span.args.emplace_back("error", event.message);
+    }
+  }
+
+  /// Records the worker's last finished stage.
+  void Settle(Worker& worker) {
+    if (!worker.unsettled) return;
+    worker.unsettled = false;
+    worker.phase.Record(
+        std::chrono::duration<double, std::micro>(worker.elapsed).count());
+    if (trace_ != nullptr) {
+      trace_->AddComplete(std::move(worker.span), worker.begin, worker.elapsed);
+    }
+  }
+
+  const std::vector<ChainSlot>& slots_;
+  std::size_t last_stage_;
+  obs::Telemetry* telemetry_;
+  obs::Timeline* timeline_;
+  obs::TraceSink* trace_;
+  obs::Counter tasks_;
+  obs::Counter retries_;
+  obs::Counter failures_;
+  std::vector<obs::Histogram> phases_;  ///< phase.<stage>, by stage index.
+  std::unique_ptr<Worker[]> workers_;  ///< Indexed by worker id.
+};
 
 }  // namespace
 
@@ -85,15 +224,6 @@ StreamStudyResult RunStudyChain(const CorpusSource& source,
 
   StreamStudyResult outcome;
   if (!slots.empty()) {
-    // Each analysis stage carries an app-level span (category "app"), so the
-    // trace shows which stage of an app's chain a worker was in.
-    auto app_span = [&](std::size_t i, const char* stage) {
-      return obs::SpanFor(
-          observer, slots[i].payload->result.app->meta.app_id, "app",
-          {{"platform",
-            std::string(appmodel::PlatformName(slots[i].platform))},
-           {"stage", stage}});
-    };
     const std::vector<util::PipelineStage> stages = {
         {"hydrate",
          [&](std::size_t i) {
@@ -108,19 +238,15 @@ StreamStudyResult RunStudyChain(const CorpusSource& source,
          }},
         {"static",
          [&](std::size_t i) {
-           const obs::Span span = app_span(i, "static");
            staticanalysis::StaticAnalysisOptions static_opts;
            static_opts.ct_log = &source.ct_log();
            static_opts.scan_cache = caches.scan();
            static_opts.observer = observer;
            AppResult& r = slots[i].payload->result;
-           obs::ScopedTimer timer(
-               obs::PhaseHistogramOrNull(metrics, "phase.static"));
            r.static_report = staticanalysis::AnalyzeStatically(*r.app, static_opts);
          }},
         {"dynamic",
          [&](std::size_t i) {
-           const obs::Span span = app_span(i, "dynamic");
            dynamicanalysis::DynamicOptions dyn = options.dynamic;
            dyn.fixtures = caches.fixtures();
            dyn.observer = observer;
@@ -132,8 +258,6 @@ StreamStudyResult RunStudyChain(const CorpusSource& source,
            // The pipeline derives its RNG from dyn.seed + the app id, so
            // this call cannot perturb (or race with) any other app.
            AppResult& r = slots[i].payload->result;
-           obs::ScopedTimer timer(
-               obs::PhaseHistogramOrNull(metrics, "phase.dynamic"));
            r.dynamic_report =
                dynamicanalysis::RunDynamicAnalysis(*r.app, source.world(), dyn);
          }},
@@ -148,52 +272,11 @@ StreamStudyResult RunStudyChain(const CorpusSource& source,
     popts.threads = options.threads;
     popts.max_stage_retries = options.stage_retries;
     popts.faults = options.fault_plan;
-    popts.trace = obs::TraceOf(observer);
-    popts.metrics = metrics;
-    // Timeline intervals carry the telemetry's (platform, universe index)
-    // key, so the autopsy resolves app ids at report time without the
-    // timeline retaining O(corpus) state.
-    popts.timeline = options.timeline;
-    popts.timeline_key = [&slots](std::size_t item) {
-      return KeyOf(slots[item]);
-    };
-    if (obs::Telemetry* telemetry = options.telemetry) {
-      telemetry->AddTotal(slots.size());
-      // The hook wraps the whole attempt loop — fault-injected delays
-      // included — so the straggler table sees a stalled stage the stage
-      // body never entered. The final stage's kEnd doubles as chain
-      // completion; a kFailed completes too, since the scheduler skips the
-      // item's remaining stages.
-      popts.stage_hook = [telemetry, &slots, &stages](std::size_t item,
-                                                      std::size_t stage,
-                                                      util::StageEvent event) {
-        const ChainSlot& slot = slots[item];
-        const std::uint64_t key = KeyOf(slot);
-        const std::string& name = stages[stage].name;
-        switch (event) {
-          case util::StageEvent::kBegin: {
-            // kBegin of "hydrate" runs before the app has an identity — the
-            // straggler table then shows the corpus index instead. Safe to
-            // read the payload here: only this item's (sequential) chain
-            // touches its slot, and the hook precedes the stage body.
-            const std::string app_id =
-                slot.payload != nullptr ? slot.payload->result.app->meta.app_id
-                                        : "app#" + std::to_string(slot.index);
-            telemetry->OnStageStart(key, appmodel::PlatformName(slot.platform),
-                                    app_id, name);
-            break;
-          }
-          case util::StageEvent::kEnd:
-            telemetry->OnStageEnd(key, name);
-            if (stage + 1 == stages.size()) telemetry->OnItemDone(key);
-            break;
-          case util::StageEvent::kFailed:
-            // Not an OnStageEnd — a failed stage never completed. OnItemDone
-            // clears the in-flight entry and still counts the chain.
-            telemetry->OnItemDone(key);
-            break;
-        }
-      };
+    if (options.telemetry != nullptr) options.telemetry->AddTotal(slots.size());
+    ChainEvents events(options, slots, stages);
+    if (observer != nullptr || options.telemetry != nullptr ||
+        options.timeline != nullptr) {
+      popts.on_event = [&events](const util::RunEvent& e) { events.OnEvent(e); };
     }
     const util::PipelineResult run =
         util::RunPipeline(slots.size(), stages, popts);

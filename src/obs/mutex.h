@@ -22,7 +22,7 @@
 namespace pinscope::obs {
 
 /// Routes one contended-lock wait to the calling thread's ambient timeline
-/// lane, if a TimelineWorkerScope is active (no-op otherwise). Defined in
+/// lane, if Timeline::OnEvent made it a worker (no-op otherwise). Defined in
 /// obs/timeline.cc; declared here so the hot mutex header need not pull in
 /// the timeline types.
 void RecordAmbientLockWait(std::string_view lock_name, std::int64_t wait_us);

@@ -49,22 +49,10 @@ class Observer {
 [[nodiscard]] inline MetricsRegistry* MetricsOf(Observer* observer) {
   return observer == nullptr ? nullptr : &observer->metrics();
 }
-[[nodiscard]] inline TraceSink* TraceOf(Observer* observer) {
-  return observer == nullptr ? nullptr : &observer->trace();
-}
 [[nodiscard]] inline EventLog* LogOf(Observer* observer) {
   return observer == nullptr ? nullptr : observer->log();
 }
 
-/// Null-safe handle/RAII factories.
-[[nodiscard]] inline Counter CounterFor(Observer* observer,
-                                        std::string_view name) {
-  return CounterOrNull(MetricsOf(observer), name);
-}
-[[nodiscard]] inline Histogram HistogramFor(Observer* observer,
-                                            std::string_view name) {
-  return HistogramOrNull(MetricsOf(observer), name);
-}
 /// Journal scope for one (platform, app, phase) — the no-op scope when the
 /// observer (or its journal) is absent. Use one scope per phase per thread.
 [[nodiscard]] inline EventScope ScopeFor(Observer* observer,

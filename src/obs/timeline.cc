@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
+
+#include "util/pipeline_scheduler.h"
 
 namespace pinscope::obs {
 
 namespace {
 
 /// The ambient (timeline, worker) binding TrackedMutex waits report into.
-/// One per thread; TimelineWorkerScope saves and restores it.
+/// One per thread; Timeline::OnEvent sets it for a worker's lifetime.
 struct Ambient {
   Timeline* timeline = nullptr;
   std::uint32_t worker = 0;
@@ -16,10 +19,12 @@ struct Ambient {
 
 thread_local Ambient g_ambient;
 
-std::int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// Index of `name` in `names`, appended if new. Call under the names' lock.
+std::uint32_t Intern(std::vector<std::string>& names, std::string_view name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  const auto index = static_cast<std::uint32_t>(it - names.begin());
+  if (it == names.end()) names.emplace_back(name);
+  return index;
 }
 
 }  // namespace
@@ -51,6 +56,9 @@ struct Timeline::Lane {
   TimelineWorkerTotals totals;
   std::vector<TimelineInterval> samples;
   std::uint64_t rng;
+  // Run-event state: only the lane's worker (then the run's caller) uses it.
+  std::uint32_t open_stage = 0;  ///< Label of the stage the worker is in.
+  std::int64_t end_us = 0;       ///< The worker's end: its tail join's start.
 
   explicit Lane(std::uint64_t seed) : rng(seed | 1) {}
 
@@ -99,7 +107,7 @@ struct Timeline::Lane {
 };
 
 Timeline::Timeline(TimelineOptions options)
-    : options_(options), epoch_ns_(SteadyNowNs()) {}
+    : options_(options), epoch_(std::chrono::steady_clock::now()) {}
 
 Timeline::~Timeline() {
   for (std::atomic<Lane*>& slot : lanes_) {
@@ -124,11 +132,7 @@ Timeline::Lane& Timeline::LaneFor(std::uint32_t worker) {
 
 std::uint32_t Timeline::InternStage(std::string_view name) {
   std::lock_guard<std::mutex> lock(grow_mu_);
-  for (std::size_t i = 0; i < stage_names_.size(); ++i) {
-    if (stage_names_[i] == name) return static_cast<std::uint32_t>(i);
-  }
-  stage_names_.emplace_back(name);
-  return static_cast<std::uint32_t>(stage_names_.size() - 1);
+  return Intern(stage_names_, name);
 }
 
 void Timeline::ReserveLanes(std::size_t workers) {
@@ -139,35 +143,19 @@ void Timeline::ReserveLanes(std::size_t workers) {
   }
 }
 
-void Timeline::MarkRunStart() {
-  run_start_us_.store(NowUs(), std::memory_order_release);
-}
-
-void Timeline::MarkRunEnd() {
-  run_end_us_.store(NowUs(), std::memory_order_release);
-}
-
 void Timeline::RecordStage(std::uint32_t worker, std::uint64_t key,
                            std::uint32_t label, std::int64_t start_us,
                            std::int64_t end_us) {
-  TimelineInterval interval;
-  interval.start_us = start_us;
-  interval.end_us = std::max(end_us, start_us);
-  interval.key = key;
-  interval.label = label;
-  interval.worker = worker;
-  interval.kind = IntervalKind::kStage;
-  LaneFor(worker).Offer(interval, options_.per_worker_cap);
+  LaneFor(worker).Offer({start_us, std::max(end_us, start_us), key, label,
+                         worker, IntervalKind::kStage},
+                        options_.per_worker_cap);
 }
 
 void Timeline::RecordIdle(std::uint32_t worker, IntervalKind kind,
                           std::int64_t start_us, std::int64_t end_us) {
-  TimelineInterval interval;
-  interval.start_us = start_us;
-  interval.end_us = std::max(end_us, start_us);
-  interval.worker = worker;
-  interval.kind = kind;
-  LaneFor(worker).Offer(interval, options_.per_worker_cap);
+  LaneFor(worker).Offer(
+      {start_us, std::max(end_us, start_us), 0, 0, worker, kind},
+      options_.per_worker_cap);
 }
 
 void Timeline::RecordLockWait(std::uint32_t worker, std::string_view lock_name,
@@ -175,53 +163,53 @@ void Timeline::RecordLockWait(std::uint32_t worker, std::string_view lock_name,
   std::uint32_t label = 0;
   {
     std::lock_guard<std::mutex> lock(grow_mu_);
-    std::size_t i = 0;
-    for (; i < lock_names_.size(); ++i) {
-      if (lock_names_[i] == lock_name) break;
-    }
-    if (i == lock_names_.size()) lock_names_.emplace_back(lock_name);
-    label = static_cast<std::uint32_t>(i);
+    label = Intern(lock_names_, lock_name);
   }
   const std::int64_t end = NowUs();
-  TimelineInterval interval;
-  interval.start_us = std::max<std::int64_t>(end - std::max<std::int64_t>(wait_us, 0), 0);
-  interval.end_us = end;
-  interval.label = label;
-  interval.worker = worker;
-  interval.kind = IntervalKind::kLockWait;
-  LaneFor(worker).Offer(interval, options_.per_worker_cap);
+  const std::int64_t start =
+      std::max<std::int64_t>(end - std::max<std::int64_t>(wait_us, 0), 0);
+  LaneFor(worker).Offer(
+      {start, end, 0, label, worker, IntervalKind::kLockWait},
+      options_.per_worker_cap);
 }
 
 std::int64_t Timeline::NowUs() const {
-  return (SteadyNowNs() - epoch_ns_) / 1000;
+  return UsAt(std::chrono::steady_clock::now());
+}
+
+std::int64_t Timeline::UsAt(std::chrono::steady_clock::time_point time) const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(time - epoch_)
+      .count();
+}
+
+template <typename Fn>
+void Timeline::ForEachLane(Fn fn) const {
+  for (const std::atomic<Lane*>& slot : lanes_) {
+    Lane* lane = slot.load(std::memory_order_acquire);
+    if (lane == nullptr) continue;
+    std::lock_guard<std::mutex> lock(lane->mu);
+    fn(*lane);
+  }
 }
 
 std::int64_t Timeline::RunStartUs() const {
   const std::int64_t marked = run_start_us_.load(std::memory_order_acquire);
   if (marked >= 0) return marked;
-  std::int64_t first = 0;
-  bool any = false;
-  for (std::size_t w = 0; w < kMaxLanes; ++w) {
-    Lane* lane = lanes_[w].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    std::lock_guard<std::mutex> lock(lane->mu);
-    if (lane->totals.intervals_seen == 0) continue;
-    if (!any || lane->totals.first_us < first) first = lane->totals.first_us;
-    any = true;
-  }
-  return first;
+  std::optional<std::int64_t> first;
+  ForEachLane([&first](const Lane& lane) {
+    if (lane.totals.intervals_seen == 0) return;
+    first = std::min(first.value_or(lane.totals.first_us), lane.totals.first_us);
+  });
+  return first.value_or(0);
 }
 
 std::int64_t Timeline::RunEndUs() const {
   const std::int64_t marked = run_end_us_.load(std::memory_order_acquire);
   if (marked >= 0) return marked;
   std::int64_t last = 0;
-  for (std::size_t w = 0; w < kMaxLanes; ++w) {
-    Lane* lane = lanes_[w].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    std::lock_guard<std::mutex> lock(lane->mu);
-    last = std::max(last, lane->totals.last_us);
-  }
+  ForEachLane([&last](const Lane& lane) {
+    last = std::max(last, lane.totals.last_us);
+  });
   return last;
 }
 
@@ -260,23 +248,14 @@ std::vector<TimelineInterval> Timeline::SamplesFor(std::size_t worker) const {
 
 std::size_t Timeline::SampleCount() const {
   std::size_t count = 0;
-  for (std::size_t w = 0; w < kMaxLanes; ++w) {
-    Lane* lane = lanes_[w].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    std::lock_guard<std::mutex> lock(lane->mu);
-    count += lane->samples.size();
-  }
+  ForEachLane([&count](const Lane& lane) { count += lane.samples.size(); });
   return count;
 }
 
 std::uint64_t Timeline::IntervalsSeen() const {
   std::uint64_t count = 0;
-  for (std::size_t w = 0; w < kMaxLanes; ++w) {
-    Lane* lane = lanes_[w].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    std::lock_guard<std::mutex> lock(lane->mu);
-    count += lane->totals.intervals_seen;
-  }
+  ForEachLane(
+      [&count](const Lane& lane) { count += lane.totals.intervals_seen; });
   return count;
 }
 
@@ -292,34 +271,49 @@ std::string_view Timeline::LockName(std::uint32_t label) const {
   return lock_names_[label];
 }
 
-std::size_t Timeline::StageCount() const {
-  std::lock_guard<std::mutex> lock(grow_mu_);
-  return stage_names_.size();
-}
-
-std::size_t Timeline::LockNameCount() const {
-  std::lock_guard<std::mutex> lock(grow_mu_);
-  return lock_names_.size();
-}
-
 std::size_t Timeline::ReservoirCapacityBytes() const {
   std::size_t lanes = 0;
-  for (std::size_t w = 0; w < kMaxLanes; ++w) {
-    if (lanes_[w].load(std::memory_order_acquire) != nullptr) ++lanes;
-  }
+  ForEachLane([&lanes](const Lane&) { ++lanes; });
   return lanes * options_.per_worker_cap * sizeof(TimelineInterval);
 }
 
-TimelineWorkerScope::TimelineWorkerScope(Timeline* timeline,
-                                         std::uint32_t worker)
-    : prev_timeline_(g_ambient.timeline), prev_worker_(g_ambient.worker) {
-  g_ambient.timeline = timeline;
-  g_ambient.worker = worker;
-}
-
-TimelineWorkerScope::~TimelineWorkerScope() {
-  g_ambient.timeline = prev_timeline_;
-  g_ambient.worker = prev_worker_;
+void Timeline::OnEvent(const util::RunEvent& event, std::uint64_t key) {
+  using Kind = util::RunEvent::Kind;
+  const std::int64_t us = UsAt(event.time);
+  switch (event.kind) {
+    case Kind::kRunBegin:
+      ReserveLanes(event.worker);
+      run_start_us_.store(us, std::memory_order_release);
+      break;
+    case Kind::kWorkerBegin:
+      g_ambient = {this, event.worker};
+      RecordIdle(event.worker, IntervalKind::kRampUp, RunStartUs(), us);
+      break;
+    case Kind::kStageBegin:
+      // Interned inside the stage's own interval. A worker begins stage k
+      // only after its stage k-1, so labels number stages in chain order.
+      LaneFor(event.worker).open_stage = InternStage(event.stage_name);
+      break;
+    case Kind::kStageEnd:
+    case Kind::kStageFailed:
+      RecordStage(event.worker, key, LaneFor(event.worker).open_stage,
+                  UsAt(event.time - event.elapsed), us);
+      break;
+    case Kind::kWorkerEnd:
+      g_ambient = {};
+      LaneFor(event.worker).end_us = us;
+      break;
+    case Kind::kRunEnd:
+      // Each worker idled from its end until the last worker finished and
+      // the caller returned from the joins: its tail join.
+      run_end_us_.store(us, std::memory_order_release);
+      for (std::uint32_t w = 0; w < event.worker; ++w) {
+        RecordIdle(w, IntervalKind::kTailJoin, LaneFor(w).end_us, us);
+      }
+      break;
+    case Kind::kRetry:
+      break;
+  }
 }
 
 // Declared in obs/mutex.h: routes a contended TrackedMutex wait to the

@@ -15,15 +15,19 @@
 // fed from the scheduler but never consulted by it; attaching one must not
 // change a single exported byte (tests/core/autopsy_equivalence_test.cc).
 //
-// Lock-wait attribution: the scheduler registers each worker thread with
-// an ambient thread-local scope (TimelineWorkerScope); any TrackedMutex
-// that loses a race while such a scope is active reports its wait here via
+// Feeding: OnEvent turns the scheduler's run events into intervals, taking
+// every time from the events, so a scripted run yields exact totals.
+//
+// Lock-wait attribution: between a worker's begin and end events, OnEvent
+// makes (timeline, worker) the thread's ambient lane; any TrackedMutex
+// that loses a race on that thread reports its wait here via
 // RecordAmbientLockWait (declared in obs/mutex.h, defined in timeline.cc),
 // which is how per-worker lock-wait time lands in the idle breakdown
 // without the caches knowing anything about workers.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -31,12 +35,16 @@
 #include <string_view>
 #include <vector>
 
+namespace pinscope::util {
+struct RunEvent;
+}  // namespace pinscope::util
+
 namespace pinscope::obs {
 
 /// What one recorded interval was spent on. kStage is busy time; the rest
 /// are the idle-attribution taxonomy (DESIGN §17). The run-to-completion
-/// scheduler (util/pipeline_scheduler.h) has no ready queue, so it records
-/// neither kQueueStarved nor kBackpressure; both stay in the taxonomy so
+/// scheduler (util/pipeline_scheduler.h) has no ready queue, so nothing
+/// records kQueueStarved or kBackpressure; both stay in the taxonomy so
 /// every report keeps one column per kind.
 enum class IntervalKind : std::uint8_t {
   kStage,         ///< Running a stage body (attempt loop, incl. retries).
@@ -110,12 +118,6 @@ class Timeline {
   /// start; idempotent.
   void ReserveLanes(std::size_t workers);
 
-  /// Marks the run's wall-clock bounds (scheduler entry/exit). MarkRunEnd
-  /// is idempotent; without these the analysis falls back to the recorded
-  /// interval extrema.
-  void MarkRunStart();
-  void MarkRunEnd();
-
   /// Records one stage-body execution on `worker`.
   void RecordStage(std::uint32_t worker, std::uint64_t key, std::uint32_t label,
                    std::int64_t start_us, std::int64_t end_us);
@@ -129,13 +131,20 @@ class Timeline {
   void RecordLockWait(std::uint32_t worker, std::string_view lock_name,
                       std::int64_t wait_us);
 
+  /// Records one util::RunPipeline event, on the thread it happened on. A
+  /// stage end or failure becomes a kStage interval carrying `key`; from the
+  /// run begin to a worker's begin is its kRampUp, from its end to the run
+  /// end its kTailJoin, and in between its thread is the ambient lane
+  /// TrackedMutex waits land in. Reads no clock: every time is the event's.
+  void OnEvent(const util::RunEvent& event, std::uint64_t key = 0);
+
   /// Microseconds since construction — the clock every interval is on.
   [[nodiscard]] std::int64_t NowUs() const;
 
   // --- Post-run inspection (call after workers quiesce). -------------------
 
   /// Run bounds: [start, end] in timeline microseconds. Falls back to the
-  /// interval extrema when Mark* was never called.
+  /// interval extrema when no run begin/end event was recorded.
   [[nodiscard]] std::int64_t RunStartUs() const;
   [[nodiscard]] std::int64_t RunEndUs() const;
 
@@ -160,8 +169,6 @@ class Timeline {
   /// Interned stage/lock name for a label id ("?" when out of range).
   [[nodiscard]] std::string_view StageName(std::uint32_t label) const;
   [[nodiscard]] std::string_view LockName(std::uint32_t label) const;
-  [[nodiscard]] std::size_t StageCount() const;
-  [[nodiscard]] std::size_t LockNameCount() const;
 
   /// Upper bound of bytes the interval reservoirs can ever hold for the
   /// lanes allocated so far — constant in corpus size (the ring-bound test
@@ -181,7 +188,11 @@ class Timeline {
   static constexpr std::size_t kMaxLanes = 512;
 
   Lane& LaneFor(std::uint32_t worker);
-  void Offer(std::uint32_t worker, const TimelineInterval& interval);
+  /// `time` on the NowUs() clock.
+  [[nodiscard]] std::int64_t UsAt(std::chrono::steady_clock::time_point time) const;
+  /// Calls `fn(lane)` for every allocated lane, under its lock.
+  template <typename Fn>
+  void ForEachLane(Fn fn) const;
 
   TimelineOptions options_;
 
@@ -192,22 +203,7 @@ class Timeline {
 
   std::atomic<std::int64_t> run_start_us_{-1};
   std::atomic<std::int64_t> run_end_us_{-1};
-  std::int64_t epoch_ns_ = 0;  ///< steady_clock at construction (ns ticks).
-};
-
-/// RAII ambient-worker registration: while alive on a thread, contended
-/// TrackedMutex waits on that thread are attributed to (timeline, worker).
-/// Null timeline = no-op. Nesting restores the previous ambient on exit.
-class TimelineWorkerScope {
- public:
-  TimelineWorkerScope(Timeline* timeline, std::uint32_t worker);
-  TimelineWorkerScope(const TimelineWorkerScope&) = delete;
-  TimelineWorkerScope& operator=(const TimelineWorkerScope&) = delete;
-  ~TimelineWorkerScope();
-
- private:
-  Timeline* prev_timeline_;
-  std::uint32_t prev_worker_;
+  std::chrono::steady_clock::time_point epoch_;  ///< Construction time.
 };
 
 }  // namespace pinscope::obs

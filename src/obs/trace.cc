@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <tuple>
+#include <utility>
 
 namespace pinscope::obs {
 
@@ -33,9 +34,8 @@ TraceSink::TraceSink()
     : origin_(std::chrono::steady_clock::now()),
       shards_(std::make_unique<Shard[]>(kShards)) {}
 
-std::int64_t TraceSink::NowUs() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - origin_)
+std::int64_t TraceSink::UsAt(std::chrono::steady_clock::time_point time) const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(time - origin_)
       .count();
 }
 
@@ -61,6 +61,16 @@ void TraceSink::Add(TraceEvent event) {
       shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.events.push_back(std::move(event));
+}
+
+void TraceSink::AddComplete(TraceEvent event,
+                            std::chrono::steady_clock::time_point begin,
+                            std::chrono::steady_clock::duration elapsed) {
+  event.tid = CurrentTid();
+  event.ts_us = UsAt(begin);
+  // A difference of truncated stamps, so nested intervals stay nested.
+  event.dur_us = UsAt(begin + elapsed) - event.ts_us;
+  Add(std::move(event));
 }
 
 std::size_t TraceSink::EventCount() const {
@@ -122,36 +132,27 @@ std::string TraceSink::ToJson() const {
 Span::Span(TraceSink* sink, std::string name, std::string category,
            std::vector<std::pair<std::string, std::string>> args)
     : sink_(sink),
-      name_(std::move(name)),
-      category_(std::move(category)),
-      args_(std::move(args)),
-      start_us_(sink != nullptr ? sink->NowUs() : 0) {}
+      event_{.name = std::move(name),
+             .category = std::move(category),
+             .args = std::move(args)},
+      start_(sink != nullptr ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{}) {}
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     End();
-    sink_ = other.sink_;
-    name_ = std::move(other.name_);
-    category_ = std::move(other.category_);
-    args_ = std::move(other.args_);
-    start_us_ = other.start_us_;
-    other.sink_ = nullptr;
+    sink_ = std::exchange(other.sink_, nullptr);
+    event_ = std::move(other.event_);
+    start_ = other.start_;
   }
   return *this;
 }
 
 void Span::End() {
   if (sink_ == nullptr) return;
-  TraceSink* sink = sink_;
-  sink_ = nullptr;
-  TraceEvent event;
-  event.name = std::move(name_);
-  event.category = std::move(category_);
-  event.tid = sink->CurrentTid();
-  event.ts_us = start_us_;
-  event.dur_us = sink->NowUs() - start_us_;
-  event.args = std::move(args_);
-  sink->Add(std::move(event));
+  std::exchange(sink_, nullptr)
+      ->AddComplete(std::move(event_), start_,
+                    std::chrono::steady_clock::now() - start_);
 }
 
 }  // namespace pinscope::obs

@@ -1,10 +1,13 @@
 // Chrome trace_event tracing for the study pipeline (DESIGN.md §11).
 //
 // A TraceSink collects complete-duration events ("ph":"X") that render
-// directly in chrome://tracing / Perfetto: one study-level span, one span
-// per scheduler worker and stage, one per app stage, and one per pipeline
-// phase (baseline, mitm, frida). Span is the RAII recorder; a default-constructed
-// Span is a no-op, so call sites stay unconditional when tracing is off.
+// directly in chrome://tracing / Perfetto: one study-level span, one
+// `sched.worker` span per scheduler worker and one event per stage
+// execution (both derived from the scheduler's run events by the study
+// chain, core/stream_study.cc), plus the spans layers open inside a stage
+// (static.scan, the dynamic.* pipeline phases). Span is the RAII recorder;
+// a default-constructed Span is a no-op, so call sites stay unconditional
+// when tracing is off.
 //
 // Thread safety mirrors the study caches: events land in 16-way sharded
 // vectors (shard chosen per thread, per-shard mutex) and are merged, sorted
@@ -46,14 +49,16 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Microseconds elapsed since construction.
-  [[nodiscard]] std::int64_t NowUs() const;
-
   /// Stable small id for the calling thread (assigned first-seen).
   [[nodiscard]] std::uint32_t CurrentTid();
 
   /// Deposits one event (tid already set by the caller, normally via Span).
   void Add(TraceEvent event);
+
+  /// Deposits `event` as having run on the calling thread from `begin` for
+  /// `elapsed` (a Span, or an interval timed by the scheduler's run events).
+  void AddComplete(TraceEvent event, std::chrono::steady_clock::time_point begin,
+                   std::chrono::steady_clock::duration elapsed);
 
   /// Turns span collection off (or back on). Spans built against a disabled
   /// sink still time themselves but Add() drops the event (silently — see
@@ -100,6 +105,9 @@ class TraceSink {
  private:
   static constexpr std::size_t kShards = 16;
 
+  /// `time` in microseconds since construction.
+  [[nodiscard]] std::int64_t UsAt(std::chrono::steady_clock::time_point time) const;
+
   struct Shard {
     mutable std::mutex mu;
     std::vector<TraceEvent> events;
@@ -136,10 +144,8 @@ class Span {
 
  private:
   TraceSink* sink_ = nullptr;
-  std::string name_;
-  std::string category_;
-  std::vector<std::pair<std::string, std::string>> args_;
-  std::int64_t start_us_ = 0;
+  TraceEvent event_;  ///< Name, category and args; timed by End().
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace pinscope::obs

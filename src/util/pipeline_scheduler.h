@@ -16,6 +16,10 @@
 // worker count and completion order, so the worker count is a pure
 // throughput knob (tests/core/sched_equivalence_test.cc proves the study's
 // exports, journal, and run reports are byte-identical to the serial run).
+//
+// Observability: one stream of plain RunEvents through one callback
+// (PipelineOptions::on_event). Every view of a run is derived from it by the
+// subscriber in core/stream_study.cc; this module knows none of them.
 #pragma once
 
 #include <atomic>
@@ -25,12 +29,9 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
-
-#include "obs/metrics.h"
-#include "obs/timeline.h"
-#include "obs/trace.h"
 
 namespace pinscope::util {
 
@@ -74,20 +75,34 @@ class SchedulerFaultPlan {
   std::map<std::pair<std::size_t, std::size_t>, Cell> faults_;
 };
 
-/// What a StageHook observes about one (item, stage) execution.
-enum class StageEvent {
-  kBegin,   ///< Entering the attempt loop (before fault injection / body).
-  kEnd,     ///< The stage succeeded (possibly after retries).
-  kFailed,  ///< Retries exhausted; the item's remaining stages are skipped.
-};
+/// One thing that happened in a run, as the scheduler reports it through
+/// PipelineOptions::on_event. A plain value: the views are valid only for
+/// the duration of the callback, so emitting an event allocates nothing.
+struct RunEvent {
+  /// The kinds from kStageBegin on are about one item's stage.
+  enum class Kind : std::uint8_t {
+    kRunBegin,     ///< On the caller, before any worker starts.
+    kRunEnd,       ///< On the caller, after every worker has joined.
+    kWorkerBegin,  ///< On the worker, before its first claim.
+    kWorkerEnd,    ///< On the worker, after its last chain ended.
+    kStageBegin,   ///< Entering a stage's attempt loop (before any fault).
+    kStageEnd,     ///< The stage succeeded (possibly after retries).
+    kStageFailed,  ///< Retries exhausted; the item's later stages are skipped.
+    kRetry,        ///< A failed attempt is about to be re-run.
+  };
 
-/// Optional observability callback around each stage's whole attempt loop.
-/// Wraps fault injection too — an injected delay counts as time inside the
-/// stage, which is exactly what a straggler watchdog must see. Called
-/// concurrently by workers; must be thread-safe and cheap. Purely
-/// observational: never consulted by the scheduler.
-using StageHook =
-    std::function<void(std::size_t item, std::size_t stage, StageEvent event)>;
+  Kind kind = Kind::kRunBegin;
+  /// The worker it happened on; for run events, the run's worker count.
+  std::uint32_t worker = 0;
+  std::size_t item = 0;   ///< Stage and retry events.
+  std::size_t stage = 0;  ///< Stage and retry events.
+  std::chrono::steady_clock::time_point time{};
+  /// End and failed events: the time since the matching begin (for a stage,
+  /// its whole attempt loop, injected delays and retries included).
+  std::chrono::steady_clock::duration elapsed{};
+  std::string_view stage_name{};  ///< Stage and retry events.
+  std::string_view message{};     ///< kStageFailed, kRetry: the error.
+};
 
 /// Knobs for one pipelined run.
 struct PipelineOptions {
@@ -100,27 +115,11 @@ struct PipelineOptions {
   int max_stage_retries = 0;
   /// Test-only fault injection (see SchedulerFaultPlan).
   const SchedulerFaultPlan* faults = nullptr;
-  /// Optional trace sink: one "<label>.worker" span per worker plus one
-  /// "<label>.<stage>" span per stage execution. Purely observational.
-  obs::TraceSink* trace = nullptr;
-  /// Span/metric prefix.
-  const char* trace_label = "sched";
-  /// Optional metrics: `sched.tasks` / `sched.retries` / `sched.failures`
-  /// counters. Purely observational (never consulted by the scheduler).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional per-stage observability hook (see StageHook).
-  StageHook stage_hook;
-  /// Optional bounded interval timeline (obs/timeline.h): one kStage
-  /// interval per stage attempt loop, a kRampUp interval from run start to
-  /// each worker's first claim, a kTailJoin interval from each worker's last
-  /// chain end to the join, and ambient lock-wait attribution while a worker
-  /// runs. Purely observational — never consulted by the scheduler — and
-  /// O(workers · cap) memory regardless of n.
-  obs::Timeline* timeline = nullptr;
-  /// Maps an item index to the stable 64-bit identity stage intervals carry
-  /// (the study drivers pass TelemetryKey: platform rank in the top bits,
-  /// universe index below). Defaults to the item index itself.
-  std::function<std::uint64_t(std::size_t item)> timeline_key;
+  /// Optional subscriber to every RunEvent of the run, called concurrently
+  /// from all workers: must be thread-safe and cheap. Purely observational,
+  /// never consulted by the scheduler. When empty the scheduler builds no
+  /// event and reads no clock.
+  std::function<void(const RunEvent&)> on_event;
 };
 
 /// One failed stage of one item. Later stages of that item do not run.
@@ -135,8 +134,6 @@ struct StageFailure {
 /// the error surface is as deterministic as the results.
 struct PipelineResult {
   std::vector<StageFailure> failures;
-  /// Stage attempts beyond the first (only with max_stage_retries > 0).
-  std::uint64_t retries = 0;
 };
 
 /// Number of workers a run over `n` items will actually use: `requested`,

@@ -7,10 +7,11 @@
 // prove for their layers. On top of that, the suite pins down what the
 // observer must actually have collected: all three cache families published
 // as gauges (with a warm validation cache showing real hits on the shared-SDK
-// corpus), per-phase histograms, and a trace whose span count grows with the
-// corpus.
+// corpus), per-phase histograms, and a trace with exactly one event per
+// stage execution whose span count grows with the corpus.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "core/export.h"
@@ -113,8 +114,25 @@ TEST_P(ObsEquivalenceTest, TraceCoversStudyWorkersAndApps) {
   EXPECT_NE(trace.find("\"study.run\""), std::string::npos);
   EXPECT_NE(trace.find("\"cat\": \"app\""), std::string::npos);
   EXPECT_NE(trace.find(".worker\""), std::string::npos);
+  EXPECT_NE(trace.find("\"static.scan\""), std::string::npos);
   EXPECT_NE(trace.find("\"dynamic.mitm\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
+
+  // One event per stage execution: the scheduler's and the app's view of a
+  // stage are one record. Stage events are everything in the "app" and
+  // "sched" categories except the worker spans (one event per line).
+  std::size_t stage_events = 0;
+  std::istringstream lines(trace);
+  for (std::string line; std::getline(lines, line);) {
+    const bool app = line.find("\"cat\": \"app\"") != std::string::npos;
+    const bool sched = line.find("\"cat\": \"sched\"") != std::string::npos &&
+                       line.find(".worker\"") == std::string::npos;
+    if (app || sched) ++stage_events;
+  }
+  const obs::MetricsSnapshot snap = observer.metrics().Snapshot();
+  EXPECT_EQ(stage_events, snap.counters.at("sched.tasks"));
+  // hydrate, static, dynamic and verdict for every app.
+  EXPECT_EQ(stage_events, 4 * snap.counters.at("study.apps_analyzed"));
 
   // Re-running on the same observer appends; the sink is cumulative.
   const std::size_t after_first = observer.trace().EventCount();

@@ -1,5 +1,6 @@
 // Timeline unit suite: exact per-worker accumulators, the bounded interval
-// reservoir, run bounds, and the ambient TrackedMutex lock-wait hook.
+// reservoir, run bounds, the ambient TrackedMutex lock-wait hook, and the
+// run-event feed that turns a scripted run into exact buckets.
 #include "obs/timeline.h"
 
 #include <gtest/gtest.h>
@@ -11,11 +12,23 @@
 #include <thread>
 #include <vector>
 
+#include "obs/autopsy.h"
 #include "obs/metrics.h"
 #include "obs/mutex.h"
+#include "util/pipeline_scheduler.h"
 
 namespace pinscope::obs {
 namespace {
+
+/// A run event of `kind` on `worker` (the worker count for run events).
+util::RunEvent MakeEvent(util::RunEvent::Kind kind, std::uint32_t worker,
+                         std::chrono::steady_clock::time_point time) {
+  util::RunEvent event;
+  event.kind = kind;
+  event.worker = worker;
+  event.time = time;
+  return event;
+}
 
 TEST(TimelineTest, IntervalKindNamesAreStable) {
   EXPECT_EQ(IntervalKindName(IntervalKind::kStage), "stage");
@@ -117,29 +130,37 @@ TEST(TimelineTest, RunBoundsFallBackToIntervalExtrema) {
 }
 
 TEST(TimelineTest, MarkedRunBoundsWinOverExtrema) {
+  using Kind = util::RunEvent::Kind;
+  using Clock = std::chrono::steady_clock;
   Timeline timeline;
-  timeline.MarkRunStart();
+  timeline.OnEvent(MakeEvent(Kind::kRunBegin, 1, Clock::now()));
   const std::uint32_t stage = timeline.InternStage("s");
-  // An interval far in the synthetic future: the marked (real-clock) bounds
-  // must win over the recorded extrema, not be dragged out to 2e6 µs.
+  // An interval far in the synthetic future: the bounds the run events
+  // marked (real clock) must win over the recorded extrema, not be dragged
+  // out to 2e6 µs.
   timeline.RecordStage(0, 1, stage, 1'000'000, 2'000'000);
-  timeline.MarkRunEnd();
+  timeline.OnEvent(MakeEvent(Kind::kRunEnd, 1, Clock::now()));
   EXPECT_LE(timeline.RunStartUs(), timeline.RunEndUs());
   EXPECT_LT(timeline.RunEndUs(), 1'000'000);
 }
 
 TEST(TimelineTest, ContendedTrackedMutexLandsInTheAmbientWorkerLane) {
+  using Kind = util::RunEvent::Kind;
+  using Clock = std::chrono::steady_clock;
   Timeline timeline;
   MetricsRegistry metrics;
   TrackedMutex mu(&metrics, "test_lock");
 
+  timeline.OnEvent(MakeEvent(Kind::kRunBegin, 4, Clock::now()));
   mu.lock();
   std::atomic<bool> thread_blocked{false};
   std::thread contender([&] {
-    TimelineWorkerScope ambient(&timeline, /*worker=*/3);
+    // Between its begin and end events, worker 3's thread is ambient.
+    timeline.OnEvent(MakeEvent(Kind::kWorkerBegin, 3, Clock::now()));
     thread_blocked.store(true);
     mu.lock();  // contended: waits until the main thread unlocks
     mu.unlock();
+    timeline.OnEvent(MakeEvent(Kind::kWorkerEnd, 3, Clock::now()));
   });
   while (!thread_blocked.load()) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -148,10 +169,12 @@ TEST(TimelineTest, ContendedTrackedMutexLandsInTheAmbientWorkerLane) {
 
   const TimelineWorkerTotals totals = timeline.TotalsFor(3);
   EXPECT_GT(totals.lock_wait_us, 0.0);
-  const std::vector<TimelineInterval> samples = timeline.SamplesFor(3);
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].kind, IntervalKind::kLockWait);
-  EXPECT_EQ(timeline.LockName(samples[0].label), "test_lock");
+  std::vector<TimelineInterval> waits;
+  for (const TimelineInterval& interval : timeline.SamplesFor(3)) {
+    if (interval.kind == IntervalKind::kLockWait) waits.push_back(interval);
+  }
+  ASSERT_EQ(waits.size(), 1u);
+  EXPECT_EQ(timeline.LockName(waits[0].label), "test_lock");
 }
 
 TEST(TimelineTest, NoAmbientScopeMeansContentionRecordsNothing) {
@@ -160,7 +183,7 @@ TEST(TimelineTest, NoAmbientScopeMeansContentionRecordsNothing) {
   mu.Attach(nullptr, "unscoped");
   mu.lock();
   std::thread contender([&] {
-    mu.lock();  // no TimelineWorkerScope on this thread
+    mu.lock();  // no recorded worker on this thread
     mu.unlock();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -189,6 +212,86 @@ TEST(TimelineTest, ParallelRecordersStayExactAcrossLanes) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_DOUBLE_EQ(timeline.TotalsFor(static_cast<std::size_t>(t)).busy_us,
                      2.0 * kPerThread);
+  }
+}
+
+TEST(TimelineTest, ScriptedRunEventsAccountForEveryMicrosecond) {
+  // Two workers over a 100 µs run, every time scripted. Worker 0 ramps up
+  // for 5 µs, runs item 0's two stages (35 + 30 µs) and waits 30 µs for
+  // the join. Worker 1 ramps up for 12 µs, fails item 1's first stage after
+  // a retry (38 µs), runs item 2 (10 + 30 µs) and waits 10 µs. The timeline
+  // reads no clock, so the buckets are exact and nothing is unattributed.
+  using Kind = util::RunEvent::Kind;
+  using std::chrono::microseconds;
+  Timeline timeline;
+  const std::string_view stage_names[] = {"a", "b"};
+  const auto t0 = std::chrono::steady_clock::now();
+  auto feed = [&](Kind kind, std::uint32_t worker, std::size_t item,
+                  std::size_t stage, int at_us, int elapsed_us = 0) {
+    util::RunEvent event = MakeEvent(kind, worker, t0 + microseconds(at_us));
+    event.item = item;
+    event.stage = stage;
+    event.stage_name = stage_names[stage];
+    event.elapsed = microseconds(elapsed_us);
+    timeline.OnEvent(event, /*key=*/100 + item);
+  };
+
+  feed(Kind::kRunBegin, /*worker=*/2, 0, 0, 0);
+  // Each worker's events arrive on its own thread, as in a real run.
+  std::thread worker0([&] {
+    feed(Kind::kWorkerBegin, 0, 0, 0, 5);
+    feed(Kind::kStageBegin, 0, 0, 0, 5);
+    feed(Kind::kStageEnd, 0, 0, 0, 40, 35);
+    feed(Kind::kStageBegin, 0, 0, 1, 40);
+    feed(Kind::kStageEnd, 0, 0, 1, 70, 30);
+    feed(Kind::kWorkerEnd, 0, 0, 0, 70, 65);
+  });
+  worker0.join();
+  std::thread worker1([&] {
+    feed(Kind::kWorkerBegin, 1, 0, 0, 12);
+    feed(Kind::kStageBegin, 1, 1, 0, 12);
+    feed(Kind::kRetry, 1, 1, 0, 30);
+    feed(Kind::kStageFailed, 1, 1, 0, 50, 38);
+    feed(Kind::kStageBegin, 1, 2, 0, 50);
+    feed(Kind::kStageEnd, 1, 2, 0, 60, 10);
+    feed(Kind::kStageBegin, 1, 2, 1, 60);
+    feed(Kind::kStageEnd, 1, 2, 1, 90, 30);
+    feed(Kind::kWorkerEnd, 1, 0, 0, 90, 78);
+  });
+  worker1.join();
+  feed(Kind::kRunEnd, 2, 0, 0, 100, 100);
+
+  EXPECT_EQ(timeline.RunEndUs() - timeline.RunStartUs(), 100);
+  ASSERT_EQ(timeline.WorkerCount(), 2u);
+  const TimelineWorkerTotals w0 = timeline.TotalsFor(0);
+  EXPECT_DOUBLE_EQ(w0.ramp_up_us, 5.0);
+  EXPECT_DOUBLE_EQ(w0.busy_us, 65.0);
+  EXPECT_DOUBLE_EQ(w0.tail_join_us, 30.0);
+  EXPECT_DOUBLE_EQ(w0.lock_wait_us, 0.0);
+  EXPECT_EQ(w0.stage_count, 2u);
+  EXPECT_EQ(w0.first_us, timeline.RunStartUs());
+  EXPECT_EQ(w0.last_us, timeline.RunEndUs());
+  const TimelineWorkerTotals w1 = timeline.TotalsFor(1);
+  EXPECT_DOUBLE_EQ(w1.ramp_up_us, 12.0);
+  EXPECT_DOUBLE_EQ(w1.busy_us, 78.0);
+  EXPECT_DOUBLE_EQ(w1.tail_join_us, 10.0);
+  EXPECT_EQ(w1.stage_count, 3u);  // the failed stage counts as busy time
+  EXPECT_EQ(w1.first_us, timeline.RunStartUs());
+  EXPECT_EQ(w1.last_us, timeline.RunEndUs());
+
+  // The failed stage is an interval of its item and stage like any other.
+  const std::vector<TimelineInterval> samples = timeline.SamplesFor(1);
+  ASSERT_EQ(samples.size(), 5u);  // ramp-up, 3 stages, tail join
+  EXPECT_EQ(samples[1].key, 101u);
+  EXPECT_EQ(timeline.StageName(samples[1].label), "a");
+  EXPECT_EQ(samples[1].duration_us(), 38);
+
+  const Autopsy autopsy = Analyze(timeline);
+  EXPECT_DOUBLE_EQ(autopsy.wall_us, 100.0);
+  ASSERT_EQ(autopsy.worker_breakdown.size(), 2u);
+  for (const WorkerBreakdown& row : autopsy.worker_breakdown) {
+    SCOPED_TRACE("worker=" + std::to_string(row.worker));
+    EXPECT_DOUBLE_EQ(row.other_us, 0.0);
   }
 }
 

@@ -4,8 +4,8 @@
 // `workers` items in flight, clean shutdown with in-flight work, failure
 // isolation + retries (failures collected in item order, non-std exceptions
 // included), a 10k-item stress run, per-item dependency ordering under a
-// seeded random perturbation of stage timings, worker-count resolution, and
-// idle attribution on the timeline.
+// seeded random perturbation of stage timings, worker-count resolution, the
+// run-event stream, and idle attribution on a timeline subscribed to it.
 #include "util/pipeline_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -224,13 +224,17 @@ TEST(PipelineSchedulerTest, RetriesRecoverTransientFailures) {
          if (attempts.fetch_add(1) < 2) throw Error("transient");
        }},
   };
+  int retries = 0;
   PipelineOptions options;
   options.threads = 1;
   options.max_stage_retries = 2;
+  options.on_event = [&retries](const RunEvent& e) {
+    if (e.kind == RunEvent::Kind::kRetry) ++retries;
+  };
   const PipelineResult result = RunPipeline(1, stages, options);
   EXPECT_TRUE(result.failures.empty());
   EXPECT_EQ(attempts.load(), 3);
-  EXPECT_EQ(result.retries, 2u);
+  EXPECT_EQ(retries, 2);
 }
 
 TEST(PipelineSchedulerTest, FaultPlanInjectsAtStageEntry) {
@@ -301,11 +305,72 @@ TEST(PipelineSchedulerTest, EmptyInputsAreNoOps) {
   EXPECT_TRUE(RunPipeline(5, {}, {}).failures.empty());
 }
 
+TEST(PipelineSchedulerTest, EventsOfOneItemFollowItsChain) {
+  // One item, one retry allowed: the first stage fails once and recovers,
+  // the second fails for good, and the third never runs. The events say so
+  // in order: begin → retry → end, then begin → retry → failed.
+  using Kind = RunEvent::Kind;
+  int flaky_attempts = 0;
+  const std::vector<PipelineStage> stages = {
+      {"flaky", [&](std::size_t) {
+         if (flaky_attempts++ == 0) throw Error("transient");
+       }},
+      {"doomed", [](std::size_t) { throw Error("permanent"); }},
+      {"never", [](std::size_t) { FAIL() << "runs after a failed stage"; }},
+  };
+  struct Seen {
+    Kind kind;
+    std::uint32_t worker;
+    std::size_t stage;
+    std::string stage_name;
+    std::string message;
+  };
+  std::vector<Seen> seen;
+  std::vector<std::chrono::steady_clock::time_point> times;
+  PipelineOptions options;
+  options.threads = 1;
+  options.max_stage_retries = 1;
+  options.on_event = [&](const RunEvent& e) {
+    seen.push_back({e.kind, e.worker, e.stage, std::string(e.stage_name),
+                    std::string(e.message)});
+    times.push_back(e.time);
+    EXPECT_GE(e.elapsed.count(), 0);
+  };
+  const PipelineResult result = RunPipeline(1, stages, options);
+  ASSERT_EQ(result.failures.size(), 1u);
+
+  const std::vector<Seen> expected = {
+      {Kind::kRunBegin, 1, 0, "", ""},
+      {Kind::kWorkerBegin, 0, 0, "", ""},
+      {Kind::kStageBegin, 0, 0, "flaky", ""},
+      {Kind::kRetry, 0, 0, "flaky", "transient"},
+      {Kind::kStageEnd, 0, 0, "flaky", ""},
+      {Kind::kStageBegin, 0, 1, "doomed", ""},
+      {Kind::kRetry, 0, 1, "doomed", "permanent"},
+      {Kind::kStageFailed, 0, 1, "doomed", "permanent"},
+      {Kind::kWorkerEnd, 0, 0, "", ""},
+      {Kind::kRunEnd, 1, 0, "", ""},
+  };
+  ASSERT_EQ(seen.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(seen[i].kind, expected[i].kind);
+    EXPECT_EQ(seen[i].worker, expected[i].worker);
+    EXPECT_EQ(seen[i].stage, expected[i].stage);
+    EXPECT_EQ(seen[i].stage_name, expected[i].stage_name);
+    EXPECT_EQ(seen[i].message, expected[i].message);
+    if (i > 0) {
+      EXPECT_LE(times[i - 1], times[i]);
+    }
+  }
+}
+
 TEST(PipelineSchedulerTest, TimelineAttributesRampUpAndTailJoinPerWorker) {
-  // Every worker's lane opens with a ramp-up interval starting at the marked
-  // run start and closes with a tail-join interval ending at the marked run
-  // end, so its buckets cover the run's whole wall clock. With no queue,
-  // nothing is ever recorded as queue-starved or backpressure.
+  // A timeline subscribed to the event stream: every worker's lane opens
+  // with a ramp-up interval starting at the marked run start and closes
+  // with a tail-join interval ending at the marked run end, so its buckets
+  // cover the run's whole wall clock. With no queue, nothing is ever
+  // recorded as queue-starved or backpressure.
   constexpr int kThreads = 4;
   obs::Timeline timeline;
   const std::vector<PipelineStage> stages = {
@@ -314,7 +379,9 @@ TEST(PipelineSchedulerTest, TimelineAttributesRampUpAndTailJoinPerWorker) {
   };
   PipelineOptions options;
   options.threads = kThreads;
-  options.timeline = &timeline;
+  options.on_event = [&timeline](const RunEvent& e) {
+    timeline.OnEvent(e, e.item);
+  };
   const PipelineResult result = RunPipeline(32, stages, options);
   EXPECT_TRUE(result.failures.empty());
 
