@@ -19,6 +19,16 @@
 
 namespace pinscope::bench {
 
+/// A positive integer from environment variable `name`, else `fallback`
+/// (unset, zero, negative or non-numeric values all fall back).
+inline int EnvInt(const char* name, int fallback) {
+  if (const char* env = std::getenv(name)) {
+    const int v = std::atoi(env);
+    if (v > 0) return v;
+  }
+  return fallback;
+}
+
 /// The process-level resource block every BENCH_*.json carries: the peak
 /// resident set at write time (JSON null where procfs is unavailable).
 inline std::string ProcessBlockJson() {

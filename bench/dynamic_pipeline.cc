@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -43,14 +42,7 @@
 namespace {
 
 using namespace pinscope;
-
-int EnvInt(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
+using bench::EnvInt;
 
 /// Checksum over everything a pass concludes, so a fixture bug that changes
 /// any verdict (not just the pinned count) trips the FATAL below.

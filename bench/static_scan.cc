@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,14 +30,7 @@
 namespace {
 
 using namespace pinscope;
-
-int EnvInt(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
+using bench::EnvInt;
 
 std::vector<appmodel::PackageFiles> DuplicatedSdkCorpus(int apps) {
   const auto& ca = x509::PublicCaCatalog::Instance().ByLabel("ca.globaltrust");

@@ -46,14 +46,7 @@
 namespace {
 
 using namespace pinscope;
-
-int EnvInt(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
+using bench::EnvInt;
 
 std::uint64_t PeakRss() { return obs::ReadPeakRssBytes().value_or(0); }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <thread>
 #include <tuple>
 
 namespace pinscope::obs {
@@ -72,24 +70,11 @@ const LogValue* FindField(const LogEvent& event, std::string_view key) {
   return nullptr;
 }
 
-EventLog::EventLog(Severity min_severity)
-    : min_severity_(min_severity), shards_(std::make_unique<Shard[]>(kShards)) {}
+EventLog::EventLog(Severity min_severity) : min_severity_(min_severity) {}
 
-void EventLog::Add(LogEvent event) {
-  Shard& shard =
-      shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.events.push_back(std::move(event));
-}
+void EventLog::Add(LogEvent event) { events_.Add(std::move(event)); }
 
-std::size_t EventLog::EventCount() const {
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    n += shards_[s].events.size();
-  }
-  return n;
-}
+std::size_t EventLog::EventCount() const { return events_.Count(); }
 
 std::string EventLog::RenderJsonLine(const LogEvent& event) {
   std::string out = "{\"platform\": \"";
@@ -121,12 +106,7 @@ std::string EventLog::RenderJsonLine(const LogEvent& event) {
 }
 
 std::vector<LogEvent> EventLog::SortedEvents() const {
-  std::vector<LogEvent> events;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    events.insert(events.end(), shards_[s].events.begin(),
-                  shards_[s].events.end());
-  }
+  std::vector<LogEvent> events = events_.Collect();
   // Sort by logical keys only. The rendered line breaks the (rare) tie of
   // two same-identity scopes reusing a sequence number, keeping the order
   // total and schedule-independent.

@@ -9,9 +9,9 @@
 // (platform, app id, phase, sequence-within-scope), never wall-clock, so the
 // bytes are identical across thread counts and across runs.
 //
-// Thread safety mirrors MetricsRegistry/TraceSink: events land in 16-way
-// sharded vectors (shard chosen per thread, per-shard mutex) and are merged
-// and sorted only at serialization time. Emission goes through an EventScope
+// Thread safety mirrors TraceSink: events land in an obs::ThreadBuffer (one
+// of 16 per-thread vectors, each under its own mutex) and are merged and
+// sorted only at serialization time. Emission goes through an EventScope
 // — one scope per (platform, app, phase), used by exactly one thread — whose
 // local sequence counter provides the within-scope order. A default
 // constructed EventScope is a no-op, so call sites stay unconditional when
@@ -24,13 +24,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/thread_buffer.h"
 
 namespace pinscope::obs {
 
@@ -139,15 +139,8 @@ class EventLog {
   [[nodiscard]] static std::string RenderJsonLine(const LogEvent& event);
 
  private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<LogEvent> events;
-  };
-
   Severity min_severity_;
-  std::unique_ptr<Shard[]> shards_;
+  ThreadBuffer<LogEvent> events_;
 };
 
 /// Emission handle for one (platform, app, phase) scope. Owned and used by a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <tuple>
 #include <utility>
 
@@ -30,9 +29,7 @@ std::string Escape(std::string_view s) {
 
 }  // namespace
 
-TraceSink::TraceSink()
-    : origin_(std::chrono::steady_clock::now()),
-      shards_(std::make_unique<Shard[]>(kShards)) {}
+TraceSink::TraceSink() : origin_(std::chrono::steady_clock::now()) {}
 
 std::int64_t TraceSink::UsAt(std::chrono::steady_clock::time_point time) const {
   return std::chrono::duration_cast<std::chrono::microseconds>(time - origin_)
@@ -57,10 +54,7 @@ void TraceSink::Add(TraceEvent event) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Shard& shard =
-      shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.events.push_back(std::move(event));
+  events_.Add(std::move(event));
 }
 
 void TraceSink::AddComplete(TraceEvent event,
@@ -73,22 +67,10 @@ void TraceSink::AddComplete(TraceEvent event,
   Add(std::move(event));
 }
 
-std::size_t TraceSink::EventCount() const {
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    n += shards_[s].events.size();
-  }
-  return n;
-}
+std::size_t TraceSink::EventCount() const { return events_.Count(); }
 
 std::string TraceSink::ToJson() const {
-  std::vector<TraceEvent> events;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    events.insert(events.end(), shards_[s].events.begin(),
-                  shards_[s].events.end());
-  }
+  std::vector<TraceEvent> events = events_.Collect();
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return std::tie(a.ts_us, a.tid, a.name) <

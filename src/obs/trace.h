@@ -9,25 +9,26 @@
 // a default-constructed Span is a no-op, so call sites stay unconditional
 // when tracing is off.
 //
-// Thread safety mirrors the study caches: events land in 16-way sharded
-// vectors (shard chosen per thread, per-shard mutex) and are merged, sorted
-// by timestamp, only at serialization time. Timestamps are wall-clock
-// microseconds since sink construction — schedule-dependent by nature, which
-// is why trace output lives outside every exported study byte (the
-// determinism contract in obs/metrics.h covers this sink too).
+// Thread safety: events land in an obs::ThreadBuffer (one of 16 per-thread
+// vectors, each under its own mutex) and are merged, sorted by timestamp,
+// only at serialization time. Timestamps are wall-clock microseconds since
+// sink construction — schedule-dependent by nature, which is why trace
+// output lives outside every exported study byte (the determinism contract
+// in obs/metrics.h covers this sink too).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "obs/thread_buffer.h"
 
 namespace pinscope::obs {
 
@@ -103,22 +104,15 @@ class TraceSink {
   [[nodiscard]] std::string ToJson() const;
 
  private:
-  static constexpr std::size_t kShards = 16;
-
   /// `time` in microseconds since construction.
   [[nodiscard]] std::int64_t UsAt(std::chrono::steady_clock::time_point time) const;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<TraceEvent> events;
-  };
 
   std::chrono::steady_clock::time_point origin_;
   std::atomic<bool> enabled_{true};
   std::atomic<std::size_t> max_events_{0};
   std::atomic<std::size_t> admitted_{0};
   std::atomic<std::size_t> dropped_{0};
-  std::unique_ptr<Shard[]> shards_;
+  ThreadBuffer<TraceEvent> events_;
 
   mutable std::mutex tid_mu_;
   std::unordered_map<std::thread::id, std::uint32_t> tids_;

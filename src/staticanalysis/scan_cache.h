@@ -9,14 +9,14 @@
 // flag, so any given content is scanned once per study no matter how many
 // apps ship it.
 //
-// Thread safety & determinism: the map is sharded (per-shard mutex, shard
-// chosen by digest byte) so parallel per-app workers rarely contend.
-// Inserts are first-wins; a racing worker that scanned the same content
-// deposits an *identical* outcome (the scan is a pure function of the key),
-// so which insert lands is unobservable. Cached entries store no paths —
-// the scanner rebinds paths on every hit — which is why cached and uncached
-// studies export byte-identical results (see DESIGN.md §9 and the
-// `ctest -L static` equivalence suite).
+// Thread safety & determinism: the map is an obs::ShardedMemo (first insert
+// wins; shard chosen by digest byte 8, bucket by digest bytes 0-7) shared by
+// every worker. A racing worker that scanned the same content deposits an
+// *identical* outcome (the scan is a pure function of the key), so which
+// insert lands is unobservable. Cached entries store no paths — the scanner
+// rebinds paths on every hit — which is why cached and uncached studies
+// export byte-identical results (see DESIGN.md §9 and the `ctest -L static`
+// equivalence suite).
 #pragma once
 
 #include <atomic>
@@ -24,12 +24,10 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
+#include <utility>
 
-#include "obs/mutex.h"
+#include "obs/sharded_memo.h"
 
 #include "crypto/sha256.h"
 #include "staticanalysis/scanner.h"
@@ -37,19 +35,12 @@
 
 namespace pinscope::staticanalysis {
 
-/// Monotonic counters describing a cache's lifetime (snapshot; the cache
-/// keeps them in atomics). Schedule-dependent in the per-app breakdown but
-/// stable in aggregate: for every distinct content exactly one scan misses.
-struct ScanCacheStats {
-  std::size_t lookups = 0;       ///< Files that consulted the cache.
-  std::size_t hits = 0;          ///< Files served from a cached outcome.
-  std::size_t misses = 0;        ///< Files that had to be scanned.
-  std::size_t entries = 0;       ///< Distinct (content, flag) outcomes stored.
-  std::size_t bytes_deduped = 0; ///< Content bytes never rescanned.
-
-  [[nodiscard]] double HitRate() const {
-    return lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups;
-  }
+/// Counter snapshot. Schedule-dependent in the per-app breakdown but stable
+/// in aggregate: for every distinct (content, flag) exactly one scan misses.
+/// Lookups are files that consulted the cache; entries are distinct
+/// (content, flag) outcomes stored.
+struct ScanCacheStats : obs::MemoStats {
+  std::size_t bytes_deduped = 0;  ///< Content bytes never rescanned.
 };
 
 /// Thread-safe, deterministic content-hash → scan-outcome map. One instance
@@ -66,11 +57,6 @@ class ScanCache {
     }
   };
 
-  explicit ScanCache(std::size_t shard_count = kDefaultShards);
-
-  ScanCache(const ScanCache&) = delete;
-  ScanCache& operator=(const ScanCache&) = delete;
-
   /// Builds the key for one file.
   [[nodiscard]] static Key MakeKey(const util::Bytes& content, bool cert_file);
 
@@ -83,14 +69,17 @@ class ScanCache {
   /// entry — the caller must append *that*, not its local copy, so racing
   /// workers all observe one canonical outcome.
   std::shared_ptr<const CachedFileScan> Insert(const Key& key,
-                                               CachedFileScan scan);
+                                               CachedFileScan scan) {
+    return memo_.Insert(key,
+                        std::make_shared<const CachedFileScan>(std::move(scan)));
+  }
 
-  /// Counter snapshot (approximate while scans are in flight; exact once
-  /// the parallel loop has joined).
-  [[nodiscard]] ScanCacheStats Stats() const;
+  [[nodiscard]] ScanCacheStats Stats() const {
+    return {memo_.Stats(), bytes_deduped_.load(std::memory_order_relaxed)};
+  }
 
   /// Resident entry count, measured by walking the shards.
-  [[nodiscard]] std::size_t EntryCount() const;
+  [[nodiscard]] std::size_t EntryCount() const { return memo_.EntryCount(); }
 
   /// Persists every entry to `path` through util::WriteCacheFile (versioned
   /// header, checksum, atomic rename; DESIGN.md §15). Entries serialize in
@@ -107,18 +96,12 @@ class ScanCache {
   /// cache.persist.* gauges instead.
   bool LoadFromFile(const std::string& path);
 
-  /// Binds every shard's lock to the `lock.<name>.contended` /
-  /// `lock.<name>.wait_us` family (obs/mutex.h) so the run autopsy's
-  /// idle-time attribution covers this cache. Null-safe; call before the
-  /// cache is shared across workers.
-  void AttachMetrics(obs::MetricsRegistry* metrics,
-                     std::string_view name = "scan_cache") {
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      shards_[s].mu.Attach(metrics, name);
-    }
+  /// Binds the shard locks to the `lock.scan_cache.*` family (see
+  /// obs::ShardedMemo::AttachMetrics).
+  void AttachMetrics(obs::MetricsRegistry* metrics) {
+    memo_.AttachMetrics(metrics, "scan_cache");
   }
 
-  static constexpr std::size_t kDefaultShards = 16;
   static constexpr std::uint32_t kFileKind = 0x314e4353;  // "SCN1"
   static constexpr std::uint32_t kFileVersion = 1;
 
@@ -132,26 +115,14 @@ class ScanCache {
     }
   };
 
-  struct Shard {
-    /// mutable so the read-only SaveToFile/EntryCount walks can lock on a
-    /// const cache.
-    mutable obs::TrackedMutex mu;
-    std::unordered_map<Key, std::shared_ptr<const CachedFileScan>, KeyHash> map;
+  /// A digest byte KeyHash does not read (it reads bytes 0-7).
+  struct ShardOf {
+    std::size_t operator()(const Key& k) const { return k.digest[8]; }
   };
 
-  Shard& ShardFor(const Key& key) {
-    // Use a digest byte the hash does not (bytes 0-7 feed KeyHash) so shard
-    // choice and within-shard bucketing stay independent.
-    return shards_[key.digest[8] % shard_count_];
-  }
-
-  const std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
-
-  std::atomic<std::size_t> lookups_{0};
-  std::atomic<std::size_t> hits_{0};
+  obs::ShardedMemo<Key, std::shared_ptr<const CachedFileScan>, KeyHash, ShardOf>
+      memo_;
   std::atomic<std::size_t> bytes_deduped_{0};
-  std::atomic<std::size_t> entries_{0};
 };
 
 }  // namespace pinscope::staticanalysis

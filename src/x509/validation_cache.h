@@ -8,25 +8,24 @@
 // memo turns all but the first evaluation per distinct tuple into a lookup.
 //
 // Thread safety & determinism mirror staticanalysis/scan_cache.h: the map is
-// sharded (per-shard mutex, shard chosen by a chain-fingerprint byte) and
-// inserts are first-wins. A racing worker that validated the same tuple
-// deposits an *identical* ValidationResult, so which insert lands is
-// unobservable — cached and uncached studies export byte-identical results
-// (see DESIGN.md §10 and the `ctest -L dynamic` equivalence suite).
+// an obs::ShardedMemo (first insert wins; shard chosen by chain-fingerprint
+// byte 8). A racing worker that validated the same tuple deposits an
+// *identical* ValidationResult, so which insert lands is unobservable —
+// cached and uncached studies export byte-identical results (see DESIGN.md
+// §10 and the `ctest -L dynamic` equivalence suite).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 
-#include "obs/mutex.h"
+#include "obs/sharded_memo.h"
 
 #include "crypto/sha256.h"
 #include "util/bytes.h"
@@ -37,21 +36,12 @@
 
 namespace pinscope::x509 {
 
-/// Monotonic counters describing a cache's lifetime (snapshot; the cache
-/// keeps them in atomics). Per-shard hit attribution is schedule-dependent
-/// under parallel studies, but the aggregate is stable: each distinct tuple
-/// misses exactly once.
-struct ValidationCacheStats {
-  std::size_t lookups = 0;  ///< Validations that consulted the cache.
-  std::size_t hits = 0;     ///< Validations served from a memoized result.
-  std::size_t misses = 0;   ///< Validations that had to run.
+/// Counter snapshot. Per-shard hit attribution is schedule-dependent under
+/// parallel studies, but the aggregate is stable: each distinct tuple misses
+/// exactly once.
+struct ValidationCacheStats : obs::MemoStats {
   std::size_t inserts = 0;  ///< Deposit attempts (≥ entries; losers of a
                             ///< first-insert-wins race still count one).
-  std::size_t entries = 0;  ///< Distinct tuples stored.
-
-  [[nodiscard]] double HitRate() const {
-    return lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups;
-  }
 };
 
 /// Thread-safe, deterministic (validation tuple) → ValidationResult map. One
@@ -73,11 +63,6 @@ class ValidationCache {
     bool operator==(const Key&) const = default;
   };
 
-  explicit ValidationCache(std::size_t shard_count = kDefaultShards);
-
-  ValidationCache(const ValidationCache&) = delete;
-  ValidationCache& operator=(const ValidationCache&) = delete;
-
   /// Builds the key for one validation.
   [[nodiscard]] static Key MakeKey(const CertificateChain& chain,
                                    std::string_view hostname, util::SimTime now,
@@ -85,20 +70,25 @@ class ValidationCache {
                                    const ValidationOptions& options);
 
   /// Looks up a memoized result. Counts one lookup. nullopt on miss.
-  [[nodiscard]] std::optional<ValidationResult> Find(const Key& key);
+  [[nodiscard]] std::optional<ValidationResult> Find(const Key& key) {
+    return memo_.Find(key);
+  }
 
   /// Deposits a result (first insert wins) and returns the resident value —
   /// racing workers all observe one canonical entry.
-  ValidationResult Insert(Key key, ValidationResult result);
+  ValidationResult Insert(Key key, ValidationResult result) {
+    inserts_.fetch_add(1, std::memory_order_relaxed);
+    return memo_.Insert(std::move(key), result);
+  }
 
-  /// Counter snapshot (approximate while validations are in flight; exact
-  /// once the parallel loop has joined).
-  [[nodiscard]] ValidationCacheStats Stats() const;
+  [[nodiscard]] ValidationCacheStats Stats() const {
+    return {memo_.Stats(), inserts_.load(std::memory_order_relaxed)};
+  }
 
-  /// Resident entry count, measured by walking the shards (vs the
-  /// Stats().entries counter, which tracks winning inserts — equal once the
-  /// parallel loop has joined, which the `ctest -L obs` suite asserts).
-  [[nodiscard]] std::size_t EntryCount() const;
+  /// Resident entry count, measured by walking the shards (equal to
+  /// Stats().entries once the parallel loop has joined, which the
+  /// `ctest -L obs` suite asserts).
+  [[nodiscard]] std::size_t EntryCount() const { return memo_.EntryCount(); }
 
   /// Persists every memoized tuple to `path` through util::WriteCacheFile
   /// (versioned header, checksum, atomic rename; DESIGN.md §15). Entries
@@ -112,18 +102,12 @@ class ValidationCache {
   /// entries count toward inserts/entries, never toward lookups/hits.
   bool LoadFromFile(const std::string& path);
 
-  /// Binds every shard's lock to the `lock.<name>.contended` /
-  /// `lock.<name>.wait_us` family (obs/mutex.h) so the run autopsy's
-  /// idle-time attribution covers this cache. Null-safe; call before the
-  /// cache is shared across workers.
-  void AttachMetrics(obs::MetricsRegistry* metrics,
-                     std::string_view name = "validation_cache") {
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      shards_[s].mu.Attach(metrics, name);
-    }
+  /// Binds the shard locks to the `lock.validation_cache.*` family (see
+  /// obs::ShardedMemo::AttachMetrics).
+  void AttachMetrics(obs::MetricsRegistry* metrics) {
+    memo_.AttachMetrics(metrics, "validation_cache");
   }
 
-  static constexpr std::size_t kDefaultShards = 16;
   static constexpr std::uint32_t kFileKind = 0x314c4156;  // "VAL1"
   static constexpr std::uint32_t kFileVersion = 1;
 
@@ -143,26 +127,15 @@ class ValidationCache {
     }
   };
 
-  struct Shard {
-    /// mutable so the read-only EntryCount() walk can lock on a const cache.
-    mutable obs::TrackedMutex mu;
-    std::unordered_map<Key, ValidationResult, KeyHash> map;
+  /// A fingerprint byte KeyHash does not read (it reads bytes 0-7).
+  struct ShardOf {
+    std::size_t operator()(const Key& k) const {
+      return k.chain_fp.size() > 8 ? k.chain_fp[8] : 0;
+    }
   };
 
-  Shard& ShardFor(const Key& key) {
-    // Use a fingerprint byte the hash does not (bytes 0-7 feed KeyHash) so
-    // shard choice and within-shard bucketing stay independent.
-    const std::uint8_t b = key.chain_fp.size() > 8 ? key.chain_fp[8] : 0;
-    return shards_[b % shard_count_];
-  }
-
-  const std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
-
-  std::atomic<std::size_t> lookups_{0};
-  std::atomic<std::size_t> hits_{0};
+  obs::ShardedMemo<Key, ValidationResult, KeyHash, ShardOf> memo_;
   std::atomic<std::size_t> inserts_{0};
-  std::atomic<std::size_t> entries_{0};
 };
 
 /// ValidateChain with optional memoization: consults `cache` when non-null,

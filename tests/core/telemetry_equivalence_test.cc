@@ -13,6 +13,7 @@
 //     "# EOF".
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/corpus_source.h"
@@ -214,16 +216,21 @@ TEST(TelemetryWatchdogTest, InjectedDelayFiresOnceAndNamesTheStraggler) {
 
   // Work item 0 of the study chain is the first android app; stall its
   // dynamic stage (stage index 2, after hydrate and static) long enough that
-  // every other chain drains and the sampler sees a completion-free window.
+  // every other chain drains while it sleeps.
   StudyOptions opts;
   opts.threads = 4;
   util::SchedulerFaultPlan faults;
   faults.Set(/*stage=*/2, /*item=*/0, {std::chrono::milliseconds(1500), 0});
   opts.fault_plan = &faults;
 
+  // Manual ticks: the test takes every tick itself, and only once the
+  // delayed chain is the one chain left in flight, so the injected delay is
+  // the only completion-free window the watchdog can ever see — a slow
+  // machine stretching some other stage past a tick period cannot fire it.
+  constexpr int kStallTicks = 4;
   obs::TelemetryOptions topts;
-  topts.interval_ms = 10;
-  topts.stall_ticks = 4;
+  topts.interval_ms = 0;
+  topts.stall_ticks = kStallTicks;
   obs::Telemetry telemetry(nullptr, topts);
   opts.telemetry = &telemetry;
 
@@ -235,20 +242,50 @@ TEST(TelemetryWatchdogTest, InjectedDelayFiresOnceAndNamesTheStraggler) {
 
   telemetry.Start();
   Study study(eco, opts);
-  study.Run();
-  telemetry.Stop();
+  std::atomic<bool> finished{false};
+  std::thread runner([&] {
+    study.Run();
+    finished.store(true);
+  });
+  auto only_delayed_chain_left = [&] {
+    const std::vector<obs::StragglerRow> rows = telemetry.Stragglers(2);
+    return telemetry.total() > 0 && telemetry.done() + 1 == telemetry.total() &&
+           rows.size() == 1 && rows.front().app_id == expected_app &&
+           rows.front().stage == "dynamic";
+  };
+  bool stalled = false;
+  while (!finished.load()) {
+    if (only_delayed_chain_left()) {
+      stalled = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // One tick takes in the completions so far; the next kStallTicks see none
+  // and fire the watchdog, which must then stay disarmed for the rest.
+  for (int t = 0; stalled && t <= 3 * kStallTicks; ++t) telemetry.Tick();
+  const std::uint64_t fires_while_stalled = telemetry.watchdog_fires();
+  const bool still_stalled = only_delayed_chain_left();
+  runner.join();
+  telemetry.Stop();  // final tick: the delayed chain completed
+  ASSERT_TRUE(stalled) << "the delay ended before the other chains drained";
+  ASSERT_TRUE(still_stalled) << "the delay ended while the ticks were taken";
 
-  // Exactly one stall: the watchdog fired once and re-armed only when the
-  // delayed chain finally completed (after which the run ended).
+  // Exactly one stall, fired inside the injected window; the watchdog
+  // re-armed once, when the delayed chain finally completed.
+  EXPECT_EQ(fires_while_stalled, 1u);
   EXPECT_EQ(telemetry.watchdog_fires(), 1u);
   const std::vector<obs::LogEvent> events = telemetry.events().SortedEvents();
   const obs::LogEvent* stall = nullptr;
+  int resumes = 0;
   for (const obs::LogEvent& e : events) {
     if (e.name == "telemetry.stall") {
       EXPECT_EQ(stall, nullptr) << "second stall event";
       stall = &e;
     }
+    if (e.name == "telemetry.resume") ++resumes;
   }
+  EXPECT_EQ(resumes, 1);
   ASSERT_NE(stall, nullptr);
   EXPECT_EQ(stall->severity, obs::Severity::kWarn);
   const obs::LogValue* app = obs::FindField(*stall, "straggler_app");
