@@ -7,11 +7,13 @@
 // drift apart again.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/process.h"
@@ -27,6 +29,19 @@ inline int EnvInt(const char* name, int fallback) {
     if (v > 0) return v;
   }
   return fallback;
+}
+
+/// A timing's spread across reps, as JSON: {"min_ms", "median_ms", "n"}.
+inline std::string SpreadJson(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const std::size_t n = ms.size();
+  const double median =
+      n % 2 == 1 ? ms[n / 2] : (ms[n / 2 - 1] + ms[n / 2]) / 2.0;
+  char out[128];
+  std::snprintf(out, sizeof(out),
+                "{\"min_ms\": %.3f, \"median_ms\": %.3f, \"n\": %zu}",
+                ms.front(), median, n);
+  return out;
 }
 
 /// The process-level resource block every BENCH_*.json carries: the peak

@@ -1,6 +1,8 @@
 // Microbenchmarks of the pipeline's hot paths (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 
 #include "appmodel/android_package.h"
@@ -17,6 +19,7 @@
 #include "staticanalysis/scanner.h"
 #include "store/generator.h"
 #include "tls/handshake.h"
+#include "util/base64.h"
 #include "util/rng.h"
 #include "x509/issuer.h"
 #include "x509/pem.h"
@@ -233,6 +236,68 @@ void BM_PinScan1MiB(benchmark::State& state) {
                           static_cast<std::int64_t>(files.TotalBytes()));
 }
 BENCHMARK(BM_PinScan1MiB)->Unit(benchmark::kMillisecond);
+
+// The scan cache's `.pscf` load and save (DESIGN.md §15) over a pin-dense
+// cache: 64 files of 4,000 parsed pins each plus one PEM certificate, the
+// shape a warm restart reads before any worker starts.
+const std::string& PinDenseScanCacheFile() {
+  static const std::string path = [] {
+    const auto& ca =
+        x509::PublicCaCatalog::Instance().ByLabel("ca.globaltrust");
+    util::Rng rng(9);
+    const staticanalysis::Scanner scanner;
+    staticanalysis::ScanCache cache;
+    for (int f = 0; f < 64; ++f) {
+      std::string text = x509::PemEncode(ca.certificate());
+      for (int p = 0; p < 4000; ++p) {
+        util::Bytes digest(32);
+        for (std::uint8_t& b : digest) {
+          b = static_cast<std::uint8_t>(rng.NextU64());
+        }
+        text += "pin = \"sha256/" + util::Base64Encode(digest) + "\"\n";
+      }
+      appmodel::PackageFiles files;
+      files.AddText("assets/pins" + std::to_string(f) + ".txt", text);
+      (void)scanner.Scan(files, &cache);
+    }
+    const std::string out = (std::filesystem::temp_directory_path() /
+                             "pinscope_bench_micro_scan_cache.pscf")
+                                .string();
+    if (!cache.SaveToFile(out)) std::abort();
+    return out;
+  }();
+  return path;
+}
+
+void BM_ScanCacheLoad(benchmark::State& state) {
+  const std::string& path = PinDenseScanCacheFile();
+  for (auto _ : state) {
+    auto cache = std::make_unique<staticanalysis::ScanCache>();
+    if (!cache->LoadFromFile(path)) state.SkipWithError("load failed");
+    state.PauseTiming();  // the teardown is not the load
+    cache.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(std::filesystem::file_size(path)));
+}
+BENCHMARK(BM_ScanCacheLoad)->Unit(benchmark::kMillisecond);
+
+void BM_ScanCacheSave(benchmark::State& state) {
+  const std::string& path = PinDenseScanCacheFile();
+  staticanalysis::ScanCache cache;
+  if (!cache.LoadFromFile(path)) state.SkipWithError("load failed");
+  const std::string out = path + ".save";
+  for (auto _ : state) {
+    if (!cache.SaveToFile(out)) state.SkipWithError("save failed");
+  }
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(std::filesystem::file_size(out)));
+  std::filesystem::remove(out);
+}
+BENCHMARK(BM_ScanCacheSave)->Unit(benchmark::kMillisecond);
 
 void BM_UsedConnectionClassification(benchmark::State& state) {
   net::Flow flow;

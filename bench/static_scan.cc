@@ -31,6 +31,7 @@ namespace {
 
 using namespace pinscope;
 using bench::EnvInt;
+using bench::SpreadJson;
 
 std::vector<appmodel::PackageFiles> DuplicatedSdkCorpus(int apps) {
   const auto& ca = x509::PublicCaCatalog::Instance().ByLabel("ca.globaltrust");
@@ -95,19 +96,6 @@ double TimedPass(const staticanalysis::Scanner& scanner,
   const auto end = std::chrono::steady_clock::now();
   *pins_out = pins;
   return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-/// A timing's spread across reps, as JSON: {"min_ms", "median_ms", "n"}.
-std::string SpreadJson(std::vector<double> ms) {
-  std::sort(ms.begin(), ms.end());
-  const std::size_t n = ms.size();
-  const double median =
-      n % 2 == 1 ? ms[n / 2] : (ms[n / 2 - 1] + ms[n / 2]) / 2.0;
-  char out[128];
-  std::snprintf(out, sizeof(out),
-                "{\"min_ms\": %.3f, \"median_ms\": %.3f, \"n\": %zu}",
-                ms.front(), median, n);
-  return out;
 }
 
 }  // namespace

@@ -18,6 +18,9 @@
 //     across apps — cold scans pay full price, a second run over the same
 //     corpus with the persisted caches hits everything. A byte-equality
 //     guard on the exports enforces that warm results are identical to cold.
+//     The scan cache's own load and save of that corpus's file are timed
+//     apart too (min, median and n), since a warm start pays the load
+//     before any worker starts.
 //
 // Knobs: PINSCOPE_BENCH_STREAM_SMALL  (small corpus total apps, default 5000),
 //        PINSCOPE_BENCH_STREAM_LARGE  (large corpus total apps, default 100000),
@@ -32,8 +35,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_json.h"
+#include "core/cache_persist.h"
 #include "core/stream_export.h"
 #include "core/stream_study.h"
 #include "core/synthetic_corpus.h"
@@ -42,11 +47,13 @@
 #include "obs/process.h"
 #include "obs/telemetry.h"
 #include "obs/timeline.h"
+#include "staticanalysis/scan_cache.h"
 
 namespace {
 
 using namespace pinscope;
 using bench::EnvInt;
+using bench::SpreadJson;
 
 std::uint64_t PeakRss() { return obs::ReadPeakRssBytes().value_or(0); }
 
@@ -258,7 +265,36 @@ int main() {
   std::fprintf(stderr, "[pinscope] warm pass (persisted caches)...\n");
   const double warm_ms =
       TimedWarmablePass(warm_source, workers, cache_dir.string(), &warm_json);
+
+  // The scan cache file the cold pass wrote, loaded into a fresh cache and
+  // saved back beside it, each timed on its own.
+  constexpr int kCacheReps = 5;
+  const std::string scan_path = core::ScanCachePathFor(cache_dir.string());
+  const std::uintmax_t scan_cache_bytes = std::filesystem::file_size(scan_path);
+  std::vector<double> load_ms, save_ms;
+  for (int rep = 0; rep < kCacheReps; ++rep) {
+    staticanalysis::ScanCache cache;
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool loaded = cache.LoadFromFile(scan_path);
+    const auto t1 = std::chrono::steady_clock::now();
+    const bool saved = cache.SaveToFile(scan_path + ".resave");
+    const auto t2 = std::chrono::steady_clock::now();
+    if (!loaded || !saved) {
+      std::fprintf(stderr, "FATAL: scan cache %s failed\n",
+                   loaded ? "save" : "load");
+      return 1;
+    }
+    using Ms = std::chrono::duration<double, std::milli>;
+    load_ms.push_back(Ms(t1 - t0).count());
+    save_ms.push_back(Ms(t2 - t1).count());
+  }
   std::filesystem::remove_all(cache_dir);
+  std::fprintf(stderr,
+               "[pinscope] scan cache %.1f MB: load %.1f ms, save %.1f ms "
+               "(min)\n",
+               static_cast<double>(scan_cache_bytes) / 1e6,
+               *std::min_element(load_ms.begin(), load_ms.end()),
+               *std::min_element(save_ms.begin(), save_ms.end()));
 
   if (cold_json != warm_json) {
     std::fprintf(stderr, "FATAL: warm run exported different bytes than cold\n");
@@ -278,7 +314,7 @@ int main() {
                  trace_dropped, observer.trace().max_events());
   }
 
-  char json[2048];
+  char json[4096];
   std::snprintf(
       json, sizeof(json),
       "{\n"
@@ -290,7 +326,10 @@ int main() {
       "                \"large_peak_rss_bytes\": %llu,\n"
       "                \"rss_ratio\": %.3f, \"flat_within_2x\": %s},\n"
       "  \"warm_start\": {\"apps\": %zu, \"cold_ms\": %.3f, \"warm_ms\": %.3f,\n"
-      "                 \"speedup\": %.2f, \"exports_byte_identical\": true},\n"
+      "                 \"speedup\": %.2f, \"exports_byte_identical\": true,\n"
+      "                 \"scan_cache_bytes\": %llu,\n"
+      "                 \"load_ms\": %s,\n"
+      "                 \"save_ms\": %s},\n"
       "  \"autopsy\": {\"apps\": %zu, \"baseline_ms\": %.3f,\n"
       "              \"timeline_ms\": %.3f, \"overhead_pct\": %.2f,\n"
       "              \"within_2pct\": %s,\n"
@@ -303,6 +342,8 @@ int main() {
       static_cast<unsigned long long>(small_peak), large_apps, large_ms,
       static_cast<unsigned long long>(large_peak), rss_ratio,
       flat ? "true" : "false", warm_apps, cold_ms, warm_ms, warm_speedup,
+      static_cast<unsigned long long>(scan_cache_bytes),
+      SpreadJson(load_ms).c_str(), SpreadJson(save_ms).c_str(),
       autopsy_apps, autopsy_base_ms, autopsy_timeline_ms, autopsy_overhead_pct,
       autopsy_overhead_pct <= 2.0 ? "true" : "false", record_ns_per_interval,
       autopsy.critical_path.size(), critical_path_share,

@@ -13,10 +13,14 @@
 // wins; shard chosen by digest byte 8, bucket by digest bytes 0-7) shared by
 // every worker. A racing worker that scanned the same content deposits an
 // *identical* outcome (the scan is a pure function of the key), so which
-// insert lands is unobservable. Cached entries store no paths — the scanner
-// rebinds paths on every hit — which is why cached and uncached studies
+// insert lands is unobservable. Cached entries store no paths — Unpack
+// rebinds them on every hit — which is why cached and uncached studies
 // export byte-identical results (see DESIGN.md §9 and the `ctest -L static`
 // equivalence suite).
+//
+// An entry keeps its pins packed in exactly the `.pscf` pin-record format,
+// so saving copies each entry's pin region once, loading validates and
+// copies it once, and a hit decodes it straight into the ScanResult.
 #pragma once
 
 #include <atomic>
@@ -25,7 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "obs/sharded_memo.h"
 
@@ -57,22 +61,35 @@ class ScanCache {
     }
   };
 
+  /// One resident outcome. The certificates stay parsed (files carry few),
+  /// their paths empty. The pins are one buffer in the `.pscf` pin-record
+  /// format: a u32 count, then per pin a u32 length and the pin string, the
+  /// u64 offset, a u8 parsed flag (0/1) and, when parsed, a u8 PinForm, a
+  /// u32 length and the decoded material.
+  struct Entry {
+    std::vector<FoundCertificate> certificates;
+    util::Bytes pins;
+  };
+
   /// Builds the key for one file.
   [[nodiscard]] static Key MakeKey(const util::Bytes& content, bool cert_file);
 
   /// Looks up a cached outcome. Counts one lookup; on a hit also counts
   /// `content_size` toward bytes_deduped. Returns nullptr on miss.
-  [[nodiscard]] std::shared_ptr<const CachedFileScan> Find(
-      const Key& key, std::size_t content_size);
+  [[nodiscard]] std::shared_ptr<const Entry> Find(const Key& key,
+                                                 std::size_t content_size);
 
-  /// Deposits an outcome (first insert wins) and returns the resident
-  /// entry — the caller must append *that*, not its local copy, so racing
-  /// workers all observe one canonical outcome.
-  std::shared_ptr<const CachedFileScan> Insert(const Key& key,
-                                               CachedFileScan scan) {
-    return memo_.Insert(key,
-                        std::make_shared<const CachedFileScan>(std::move(scan)));
-  }
+  /// Packs `scan` and deposits it (first insert wins); returns the resident
+  /// entry. A racing worker's entry is identical, because the scan is a
+  /// pure function of the key, so a caller may go on with its own `scan`.
+  std::shared_ptr<const Entry> Insert(const Key& key,
+                                      const CachedFileScan& scan);
+
+  /// Appends `entry` to `out` with every path rebound to `path`. Cannot
+  /// fail: each resident entry was packed by Insert or had every record
+  /// validated by LoadFromFile.
+  static void Unpack(const Entry& entry, const std::string& path,
+                     ScanResult& out);
 
   [[nodiscard]] ScanCacheStats Stats() const {
     return {memo_.Stats(), bytes_deduped_.load(std::memory_order_relaxed)};
@@ -82,15 +99,20 @@ class ScanCache {
   [[nodiscard]] std::size_t EntryCount() const { return memo_.EntryCount(); }
 
   /// Persists every entry to `path` through util::WriteCacheFile (versioned
-  /// header, checksum, atomic rename; DESIGN.md §15). Entries serialize in
-  /// sorted key order, so two caches holding the same outcomes write
-  /// byte-identical files — which is what makes concurrent last-writer-wins
-  /// saves into one cache dir unobservable. Returns false on I/O failure.
+  /// header, checksum, atomic rename; DESIGN.md §15): per entry in sorted
+  /// key order, the key, the certificates' DER and the packed pin region,
+  /// into a payload sized up front. Two caches holding the same outcomes
+  /// write byte-identical files — which is what makes concurrent
+  /// last-writer-wins saves into one cache dir unobservable. Returns false
+  /// on I/O failure.
   bool SaveToFile(const std::string& path) const;
 
   /// Merges entries from a file written by SaveToFile (first-wins against
-  /// anything already resident). A missing, foreign, version-mismatched, or
-  /// corrupt file returns false and loads nothing — the cold-start path.
+  /// anything already resident). Every record is validated once here —
+  /// lengths in bounds, flags 0/1, a known PinForm, parseable certificates —
+  /// and each entry's pin region is kept as one copied buffer. A missing,
+  /// foreign, version-mismatched, or corrupt file returns false and loads
+  /// nothing — the cold-start path.
   /// Loaded entries count toward entries (they are resident), never toward
   /// lookups/hits: warm-start provenance is reported by the caller's
   /// cache.persist.* gauges instead.
@@ -120,8 +142,7 @@ class ScanCache {
     std::size_t operator()(const Key& k) const { return k.digest[8]; }
   };
 
-  obs::ShardedMemo<Key, std::shared_ptr<const CachedFileScan>, KeyHash, ShardOf>
-      memo_;
+  obs::ShardedMemo<Key, std::shared_ptr<const Entry>, KeyHash, ShardOf> memo_;
   std::atomic<std::size_t> bytes_deduped_{0};
 };
 

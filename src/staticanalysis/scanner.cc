@@ -101,23 +101,8 @@ bool LooksBinary(const util::Bytes& data) {
   return probe > 0 && nonprint * 10 > probe;  // >10% non-printable
 }
 
-// Appends a cached (path-less) outcome to `out`, rebinding every `path`
-// field to the observing file. Copying: the entry stays cache-resident.
-void AppendRebound(const CachedFileScan& scan, const std::string& path,
-                   ScanResult& out) {
-  out.certificates.reserve(out.certificates.size() + scan.certificates.size());
-  out.pins.reserve(out.pins.size() + scan.pins.size());
-  for (const FoundCertificate& c : scan.certificates) {
-    out.certificates.push_back(c);
-    out.certificates.back().path = path;
-  }
-  for (const FoundPin& p : scan.pins) {
-    out.pins.push_back(p);
-    out.pins.back().path = path;
-  }
-}
-
-// Move flavor for outcomes that are not kept anywhere else (cache off).
+// Appends a fresh (path-less) outcome to `out`, rebinding every `path`
+// field to the observing file.
 void AppendOwned(CachedFileScan&& scan, const std::string& path, ScanResult& out) {
   out.certificates.reserve(out.certificates.size() + scan.certificates.size());
   out.pins.reserve(out.pins.size() + scan.pins.size());
@@ -248,16 +233,16 @@ ScanResult Scanner::Scan(const appmodel::PackageFiles& files, ScanCache* cache,
     if (const auto hit = cache->Find(key, content.size())) {
       ++out.cache_hits;
       out.cache_bytes_deduped += content.size();
-      AppendRebound(*hit, path, out);
+      ScanCache::Unpack(*hit, path, out);
       continue;
     }
     CachedFileScan scan;
     ScanFile(content, is_cert_file, scan);
-    // First insert wins on a race; either way the resident entry is
-    // appended, and racing entries are identical because ScanFile is a pure
-    // function of (content, flag).
-    const auto resident = cache->Insert(key, std::move(scan));
-    AppendRebound(*resident, path, out);
+    // First insert wins on a race. Racing entries are identical because
+    // ScanFile is a pure function of (content, flag), so appending this
+    // scan is byte-identical to unpacking the resident entry.
+    (void)cache->Insert(key, scan);
+    AppendOwned(std::move(scan), path, out);
   }
   if (metrics != nullptr) {
     metrics->counter("static.files_scanned").Add(out.files_scanned);

@@ -59,10 +59,11 @@ struct FoundPin {
   std::size_t offset = 0;
 };
 
-/// Path-independent scan outcome of one file's *content* — the unit the
-/// corpus-wide ScanCache stores. The `path` fields inside are empty; they
-/// are rebound to the observing file's path when the entry is appended to a
-/// ScanResult, so cached and uncached scans are byte-identical.
+/// Path-independent scan outcome of one file's *content* — what the
+/// corpus-wide ScanCache packs into an entry. The `path` fields inside are
+/// empty; they are rebound to the observing file's path when the outcome is
+/// appended to a ScanResult, so cached and uncached scans are
+/// byte-identical.
 struct CachedFileScan {
   std::vector<FoundCertificate> certificates;
   std::vector<FoundPin> pins;

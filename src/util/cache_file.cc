@@ -1,8 +1,10 @@
 #include "util/cache_file.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 namespace pinscope::util {
 
@@ -11,27 +13,72 @@ namespace {
 constexpr std::uint32_t kMagic = 0x46435350;  // "PSCF" little-endian.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8 + 8;
 
-/// FNV-1a 64-bit over the payload: an integrity (not security) check that
-/// catches truncation and bit rot without pulling crypto into util.
-std::uint64_t Checksum(const Bytes& payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
+/// Container revision, carried in the high 16 bits of the header's version
+/// word above the caller's payload version. Revision 1 (FNV-1a checksum)
+/// wrote the payload version alone, so its files fail the version check and
+/// the run starts cold.
+constexpr std::uint32_t kContainerRevision = 2;
+
+std::uint32_t VersionWord(std::uint32_t version) {
+  return kContainerRevision << 16 | version;
+}
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+
+/// Little-endian 8-byte load, so the checksum is the same on every host.
+std::uint64_t LoadU64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
-  return h;
+  return v;
+}
+
+/// One lane step: a bijection of `lane` for a fixed word, and injective in
+/// the word for a fixed lane.
+std::uint64_t Round(std::uint64_t lane, const std::uint8_t* word) {
+  return std::rotl(lane + LoadU64(word) * kP2, 31) * kP1;
 }
 
 void AppendHeader(Bytes& out, std::uint32_t kind, std::uint32_t version,
                   const Bytes& payload) {
   AppendU32(out, kMagic);
   AppendU32(out, kind);
-  AppendU32(out, version);
+  AppendU32(out, VersionWord(version));
   AppendU64(out, payload.size());
-  AppendU64(out, Checksum(payload));
+  AppendU64(out, CacheChecksum(payload.data(), payload.size()));
 }
 
 }  // namespace
+
+std::uint64_t CacheChecksum(const std::uint8_t* data, std::size_t size) {
+  // Four independent lanes, one 8-byte word each per 32-byte stripe, so a
+  // change confined to one word reaches exactly one lane and the sum below.
+  std::uint64_t v0 = kP1 + kP2, v1 = kP2, v2 = 0, v3 = 0 - kP1;
+  std::size_t i = 0;
+  for (; i + 32 <= size; i += 32) {
+    v0 = Round(v0, data + i);
+    v1 = Round(v1, data + i + 8);
+    v2 = Round(v2, data + i + 16);
+    v3 = Round(v3, data + i + 24);
+  }
+  std::uint64_t h = std::rotl(v0, 1) + std::rotl(v1, 7) + std::rotl(v2, 12) +
+                    std::rotl(v3, 18) + size;
+  // Byte tail: again a bijection of `h` per byte, injective in the byte.
+  for (; i < size; ++i) h = std::rotl(h ^ (data[i] * kP3), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
+}
 
 void AppendU8(Bytes& out, std::uint8_t v) { out.push_back(v); }
 
@@ -57,70 +104,34 @@ void AppendBlob(Bytes& out, const Bytes& b) {
   out.insert(out.end(), b.begin(), b.end());
 }
 
-std::uint8_t ByteReader::U8() {
-  std::uint8_t v = 0;
-  Raw(&v, 1);
-  return v;
-}
-
-std::uint32_t ByteReader::U32() {
-  std::uint8_t raw[4] = {};
-  Raw(raw, sizeof(raw));
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(raw[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::U64() {
-  std::uint8_t raw[8] = {};
-  Raw(raw, sizeof(raw));
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(raw[i]) << (8 * i);
-  return v;
-}
-
-std::int64_t ByteReader::I64() { return static_cast<std::int64_t>(U64()); }
-
 std::string ByteReader::String() {
   const std::uint32_t n = U32();
-  if (!ok_ || data_->size() - pos_ < n) {
-    ok_ = false;
-    return {};
-  }
-  std::string s(reinterpret_cast<const char*>(data_->data() + pos_), n);
-  pos_ += n;
-  return s;
+  const std::uint8_t* p = Take(n);
+  return p == nullptr ? std::string()
+                      : std::string(reinterpret_cast<const char*>(p), n);
 }
 
 Bytes ByteReader::Blob() {
   const std::uint32_t n = U32();
-  if (!ok_ || data_->size() - pos_ < n) {
-    ok_ = false;
-    return {};
-  }
-  Bytes b(data_->begin() + static_cast<std::ptrdiff_t>(pos_),
-          data_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return b;
+  const std::uint8_t* p = Take(n);
+  return p == nullptr ? Bytes() : Bytes(p, p + n);
 }
 
 bool ByteReader::Raw(std::uint8_t* dst, std::size_t n) {
-  if (!ok_ || data_->size() - pos_ < n) {
-    ok_ = false;
+  const std::uint8_t* p = Take(n);
+  if (p == nullptr) {
     std::memset(dst, 0, n);
     return false;
   }
-  std::memcpy(dst, data_->data() + pos_, n);
-  pos_ += n;
+  std::memcpy(dst, p, n);
   return true;
 }
 
 bool WriteCacheFile(const std::string& path, std::uint32_t kind,
                     std::uint32_t version, const Bytes& payload) {
-  Bytes file;
-  file.reserve(kHeaderBytes + payload.size());
-  AppendHeader(file, kind, version, payload);
-  Append(file, payload);
+  Bytes header;
+  header.reserve(kHeaderBytes);
+  AppendHeader(header, kind, version, payload);
 
   // Unique temp name per writer so two studies saving into one cache dir
   // never scribble on the same in-progress file; rename() then publishes
@@ -131,9 +142,11 @@ bool WriteCacheFile(const std::string& path, std::uint32_t kind,
                           std::to_string(reinterpret_cast<std::uintptr_t>(&counter));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), f);
+  const bool written =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
   const bool flushed = std::fclose(f) == 0;
-  if (written != file.size() || !flushed) {
+  if (!written || !flushed) {
     std::remove(tmp.c_str());
     return false;
   }
@@ -146,26 +159,37 @@ bool WriteCacheFile(const std::string& path, std::uint32_t kind,
 
 std::optional<Bytes> ReadCacheFile(const std::string& path, std::uint32_t kind,
                                    std::uint32_t version) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return std::nullopt;
-  Bytes file;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    file.insert(file.end(), buf, buf + n);
+  // Unbuffered: the header is one small read and the payload one read
+  // straight into its final buffer.
+  std::setvbuf(f.get(), nullptr, _IONBF, 0);
+  Bytes header(kHeaderBytes);
+  if (std::fread(header.data(), 1, header.size(), f.get()) != header.size()) {
+    return std::nullopt;
   }
-  std::fclose(f);
+  ByteReader fields(header);
+  if (fields.U32() != kMagic || fields.U32() != kind ||
+      fields.U32() != VersionWord(version)) {
+    return std::nullopt;
+  }
+  const std::uint64_t payload_size = fields.U64();
+  const std::uint64_t checksum = fields.U64();
 
-  if (file.size() < kHeaderBytes) return std::nullopt;
-  ByteReader header(file);
-  if (header.U32() != kMagic) return std::nullopt;
-  if (header.U32() != kind) return std::nullopt;
-  if (header.U32() != version) return std::nullopt;
-  const std::uint64_t payload_size = header.U64();
-  const std::uint64_t checksum = header.U64();
-  if (file.size() - kHeaderBytes != payload_size) return std::nullopt;
-  Bytes payload(file.begin() + kHeaderBytes, file.end());
-  if (Checksum(payload) != checksum) return std::nullopt;
+  // The exact size is checked before the allocation, so a lying header
+  // cannot ask for more memory than the file holds.
+  if (std::fseek(f.get(), 0, SEEK_END) != 0) return std::nullopt;
+  const long file_size = std::ftell(f.get());
+  if (file_size < 0 ||
+      static_cast<std::uint64_t>(file_size) - kHeaderBytes != payload_size ||
+      std::fseek(f.get(), static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
+    return std::nullopt;
+  }
+  Bytes payload(payload_size);
+  if (std::fread(payload.data(), 1, payload.size(), f.get()) != payload.size() ||
+      CacheChecksum(payload.data(), payload.size()) != checksum) {
+    return std::nullopt;
+  }
   return payload;
 }
 

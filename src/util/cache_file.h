@@ -4,11 +4,16 @@
 // memo) serialize through this one container so the durability rules live in
 // a single place:
 //
-//   - Header: magic, a per-cache kind tag, a format version, the payload
-//     size, and an FNV-1a checksum of the payload. Any mismatch — wrong
-//     kind, unknown version, truncated file, flipped payload byte — makes
-//     ReadCacheFile return nullopt, and the caller starts cold. A cache
-//     file can make a run slower, never wrong, and never crash it.
+//   - Header (28 bytes): magic, a per-cache kind tag, a version word (the
+//     container revision above the caller's payload version), the payload
+//     size, and a CacheChecksum of the payload. Any mismatch — wrong kind,
+//     unknown version, a file shorter or longer than header + payload,
+//     flipped payload byte — makes ReadCacheFile return nullopt, and the
+//     caller starts cold. A cache file can make a run slower, never wrong,
+//     and never crash it.
+//   - One read, one write: the payload is read with a single fread into a
+//     buffer of exactly its size, and written with one fwrite after the
+//     header, so a load or save costs little more than the I/O itself.
 //   - Atomic write-replace: WriteCacheFile writes a unique temporary next
 //     to the destination and std::rename()s it into place, so concurrent
 //     writers into one --cache-dir are last-writer-wins and readers never
@@ -20,8 +25,10 @@
 // local scratch state with the same trust level as the build tree.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,8 +37,16 @@
 
 namespace pinscope::util {
 
+/// The container's payload checksum: 64-bit, word-at-a-time over four
+/// independent lanes plus a byte tail (xxHash64-style). Any change confined
+/// to one 8-byte word of a 32-byte stripe, or to one tail byte — so every
+/// single-bit flip — changes it.
+[[nodiscard]] std::uint64_t CacheChecksum(const std::uint8_t* data,
+                                          std::size_t size);
+
 /// Writes `payload` under a versioned, checksummed header and atomically
-/// replaces `path`. Returns false on any I/O failure (callers treat that as
+/// replaces `path`. `version` is the caller's payload version and must be
+/// below 2^16. Returns false on any I/O failure (callers treat that as
 /// "cache not persisted", never as an error).
 bool WriteCacheFile(const std::string& path, std::uint32_t kind,
                     std::uint32_t version, const Bytes& payload);
@@ -57,24 +72,54 @@ void AppendString(Bytes& out, std::string_view s);
 void AppendBlob(Bytes& out, const Bytes& b);
 
 /// Sequential payload reader. Every accessor returns a zero value once a
-/// read has run past the end; check ok() (and AtEnd()) after decoding.
+/// read has run past the end; check ok() (and AtEnd()) after decoding. The
+/// fixed-width reads are inline: record walks call them per field.
 class ByteReader {
  public:
   explicit ByteReader(const Bytes& data) : data_(&data) {}
 
-  [[nodiscard]] std::uint8_t U8();
-  [[nodiscard]] std::uint32_t U32();
-  [[nodiscard]] std::uint64_t U64();
-  [[nodiscard]] std::int64_t I64();
+  [[nodiscard]] std::uint8_t U8() { return Le<std::uint8_t>(); }
+  [[nodiscard]] std::uint32_t U32() { return Le<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t U64() { return Le<std::uint64_t>(); }
+  [[nodiscard]] std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   [[nodiscard]] std::string String();
   [[nodiscard]] Bytes Blob();
   /// Copies exactly `n` raw bytes into `dst`.
   bool Raw(std::uint8_t* dst, std::size_t n);
+  /// Steps over the next `n` bytes and returns a pointer to them (into the
+  /// reader's buffer), or nullptr once past the end.
+  const std::uint8_t* Take(std::size_t n) {
+    if (!ok_ || data_->size() - pos_ < n) {
+      ok_ = false;
+      return nullptr;
+    }
+    const std::uint8_t* at = data_->data() + pos_;
+    pos_ += n;
+    return at;
+  }
 
+  /// Bytes consumed so far.
+  [[nodiscard]] std::size_t pos() const { return pos_; }
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool AtEnd() const { return pos_ == data_->size(); }
 
  private:
+  /// The next sizeof(T) bytes as a little-endian unsigned value.
+  template <typename T>
+  T Le() {
+    T v = 0;
+    if (const std::uint8_t* p = Take(sizeof(T))) {
+      if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(T));
+      } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+          v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+        }
+      }
+    }
+    return v;
+  }
+
   const Bytes* data_;
   std::size_t pos_ = 0;
   bool ok_ = true;

@@ -1,12 +1,14 @@
 // Unit tests for the versioned on-disk cache container (DESIGN.md §15):
 // header round trip, every rejection path (missing, foreign kind, version
-// skew, truncation, flipped payload byte), atomic write-replace, and the
-// little-endian payload codec. Carries the `stream` ctest label so it also
+// skew, a revision-1 file, truncation, an appended byte, flipped payload
+// byte), the lane checksum's single-bit and word-swap sensitivity, atomic
+// write-replace, and the little-endian payload codec. Carries the `stream` ctest label so it also
 // runs under the sanitizer presets.
 #include "util/cache_file.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -96,6 +98,41 @@ TEST_F(CacheFileTest, TruncationAnywhereIsRejected) {
   }
 }
 
+TEST_F(CacheFileTest, RevisionOneFileLoadsNothing) {
+  // A file as the first container revision wrote it: the caller's version
+  // alone in the version word and an FNV-1a checksum. It must start cold.
+  const Bytes payload = SamplePayload();
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : payload) {
+    fnv ^= b;
+    fnv *= 0x100000001b3ULL;
+  }
+  Bytes file;
+  AppendU32(file, 0x46435350);  // "PSCF"
+  AppendU32(file, kKind);
+  AppendU32(file, kVersion);
+  AppendU64(file, payload.size());
+  AppendU64(file, fnv);
+  Append(file, payload);
+  const std::string path = PathFor("v1.pscf");
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(file.data()),
+            static_cast<std::streamsize>(file.size()));
+  }
+  EXPECT_FALSE(ReadCacheFile(path, kKind, kVersion).has_value());
+}
+
+TEST_F(CacheFileTest, AppendedByteIsRejected) {
+  const std::string path = PathFor("long.pscf");
+  ASSERT_TRUE(WriteCacheFile(path, kKind, kVersion, SamplePayload()));
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.put('\0');
+  }
+  EXPECT_FALSE(ReadCacheFile(path, kKind, kVersion).has_value());
+}
+
 TEST_F(CacheFileTest, FlippedPayloadByteFailsTheChecksum) {
   const std::string path = PathFor("corrupt.pscf");
   const Bytes payload = SamplePayload();
@@ -141,6 +178,44 @@ TEST_F(CacheFileTest, EqualPayloadsWriteIdenticalFiles) {
   EXPECT_EQ(bytes_a, bytes_b);
 }
 
+TEST(CacheChecksumTest, EverySingleBitFlipIsCaught) {
+  // Lengths 0-72 cover no stripe, one and two full 32-byte stripes of the
+  // four lanes, and every byte-tail length in between.
+  for (std::size_t size = 0; size <= 72; ++size) {
+    Bytes data(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 37 + size);
+    }
+    const std::uint64_t clean = CacheChecksum(data.data(), data.size());
+    for (std::size_t bit = 0; bit < size * 8; ++bit) {
+      data[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+      EXPECT_NE(CacheChecksum(data.data(), data.size()), clean)
+          << "size " << size << " bit " << bit;
+      data[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+    }
+  }
+}
+
+TEST(CacheChecksumTest, SwappingTwoWordsChangesIt) {
+  // Nine distinct 8-byte words: two full stripes and a byte tail, so the
+  // swaps cover one lane across stripes, two lanes, and a lane with the tail.
+  Bytes data;
+  for (std::uint64_t w = 1; w <= 9; ++w) {
+    AppendU64(data, 0x0101010101010101ULL * w);
+  }
+  const std::uint64_t clean = CacheChecksum(data.data(), data.size());
+  for (std::size_t a = 0; a < 9; ++a) {
+    for (std::size_t b = a + 1; b < 9; ++b) {
+      Bytes swapped = data;
+      std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(8 * a),
+                       swapped.begin() + static_cast<std::ptrdiff_t>(8 * a + 8),
+                       swapped.begin() + static_cast<std::ptrdiff_t>(8 * b));
+      EXPECT_NE(CacheChecksum(swapped.data(), swapped.size()), clean)
+          << "words " << a << " and " << b;
+    }
+  }
+}
+
 TEST(CacheFileCodecTest, RoundTripsEveryFieldType) {
   Bytes out;
   AppendU8(out, 0xAB);
@@ -177,7 +252,7 @@ TEST(CacheFileCodecTest, OverReadTurnsStickyNotUndefined) {
 TEST(CacheFileCodecTest, TruncatedLengthPrefixedStringFailsCleanly) {
   Bytes out;
   AppendString(out, "0123456789");
-  out.resize(out.size() - 4);  // length says 10, only 6 bytes remain
+  out.resize(4 + 6);  // length says 10, only 6 bytes remain
   ByteReader r(out);
   EXPECT_EQ(r.String(), "");
   EXPECT_FALSE(r.ok());

@@ -5,8 +5,11 @@
 // inflated (by one, and to 0xffffffff) at every offset, the entry count
 // inflated, every truncation, and seeded random bit flips — re-wrapped with
 // util::WriteCacheFile, and loaded. Each load must either fail with an
-// empty cache or succeed; it must never crash, hang or throw. Carries the
-// `robust` ctest label so it also runs under the sanitizer presets.
+// empty cache or succeed; it must never crash, hang or throw. A ScanCache
+// that loads a mutation is then scanned against through Scanner::Scan, so
+// every entry a file's content still reaches is unpacked: the load-time
+// record walk is what makes unpacking infallible. Carries the `robust`
+// ctest label so it also runs under the sanitizer presets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -59,10 +62,12 @@ class PscfMutationTest : public ::testing::Test {
   }
 
   /// Loads every mutation of `payload` into a fresh Cache and checks the
-  /// all-or-nothing contract. Returns how many mutations loaded cleanly.
+  /// all-or-nothing contract; `on_loaded` then runs on each cache that
+  /// loaded. Returns how many mutations loaded cleanly.
   template <typename Cache>
   static std::size_t Sweep(const std::string& path, const util::Bytes& payload,
-                           std::uint64_t seed) {
+                           std::uint64_t seed,
+                           const std::function<void(Cache&)>& on_loaded = {}) {
     std::size_t accepted = 0;
     const auto check = [&](const util::Bytes& mutated, const std::string& what) {
       SCOPED_TRACE(what);
@@ -73,6 +78,7 @@ class PscfMutationTest : public ::testing::Test {
       EXPECT_NO_THROW(loaded = cache.LoadFromFile(path));
       if (loaded) {
         ++accepted;
+        if (on_loaded) on_loaded(cache);
       } else {
         EXPECT_EQ(cache.EntryCount(), 0u);
       }
@@ -155,7 +161,19 @@ TEST_F(PscfMutationTest, ScanCachePayloadMutationsLoadAllOrNothing) {
                    staticanalysis::ScanCache::kFileVersion);
   ASSERT_GT(payload.size(), 8u);
 
-  (void)Sweep<staticanalysis::ScanCache>(path, payload, /*seed=*/11);
+  // Pin strings, offsets and material are free-form bytes, so some
+  // mutations load; each loaded cache serves the package again, and every
+  // entry whose key survived is unpacked on a hit.
+  std::size_t unpacked = 0;
+  const std::size_t accepted = Sweep<staticanalysis::ScanCache>(
+      path, payload, /*seed=*/11, [&](staticanalysis::ScanCache& cache) {
+        staticanalysis::ScanResult result;
+        EXPECT_NO_THROW(result = scanner.Scan(files, &cache));
+        EXPECT_EQ(result.files_scanned, files.size());
+        unpacked += result.cache_hits;
+      });
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(unpacked, 0u);
 }
 
 TEST_F(PscfMutationTest, ValidationCachePayloadMutationsLoadAllOrNothing) {
