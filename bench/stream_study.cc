@@ -109,6 +109,16 @@ double TimedWarmablePass(const core::SyntheticCorpusSource& source, int workers,
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+/// The `q` quantile of `values` (0 <= q <= 1), interpolating linearly
+/// between the two nearest ranks.
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double rank = q * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (values[hi] - values[lo]) * (rank - static_cast<double>(lo));
+}
+
 /// What one timeline record costs, timed directly: a tight loop that
 /// alternates RecordStage and RecordIdle on one reserved lane, min over
 /// `reps` repetitions, per call. The loop runs well past the per-lane cap,
@@ -190,48 +200,56 @@ int main() {
   }
 
   // --- Claim 3: timeline-fed autopsy costs <2% of a streaming run. --------
-  // Min-of-N with and without a timeline attached, over a corpus whose
-  // stage bodies do real work: unique payloads with embedded PEM blocks,
-  // so every scan pays a parse like a real app bundle would. The record
-  // path is a constant ~hundreds of ns per interval; against the default
-  // 4 KiB shared-payload corpus (µs-scale no-op stages) that constant
-  // reads as several percent, which measures the microbenchmark, not the
-  // instrument. The per-interval cost is reported alongside so the
-  // constant itself stays gated too; it is timed on its own, because the
-  // wall-clock difference of two runs is mostly noise at this size. The
-  // analyzed autopsy of the last instrumented pass rides along as evidence
-  // the bounded reservoir still reconstructs a critical path at this scale.
-  const std::size_t autopsy_apps = static_cast<std::size_t>(
-      EnvInt("PINSCOPE_BENCH_STREAM_AUTOPSY", 2000));
-  const int autopsy_reps = EnvInt("PINSCOPE_BENCH_STREAM_AUTOPSY_REPS", 5);
+  // Alternating timeline-off and timeline-on runs, at least 10 pairs, over
+  // a corpus whose stage bodies do real work: unique payloads with embedded
+  // PEM blocks, so every scan pays a parse like a real app bundle would.
+  // The corpus doubles until one untimed run takes >= 300 ms, so a pair's
+  // difference is not lost in millisecond-scale scheduling noise. Each pair
+  // yields one overhead; the JSON reports their median with its quartiles,
+  // and the claim holds only when the upper quartile is within 2%. The
+  // per-interval record cost is timed on its own as well, so the constant
+  // itself stays gated. The analyzed autopsy of the last instrumented pass
+  // rides along as evidence the bounded reservoir still reconstructs a
+  // critical path at this scale.
+  constexpr double kAutopsyMinRunMs = 300.0;
+  std::size_t autopsy_apps = static_cast<std::size_t>(
+      EnvInt("PINSCOPE_BENCH_STREAM_AUTOPSY", 16000));
+  const int autopsy_pairs =
+      std::max(10, EnvInt("PINSCOPE_BENCH_STREAM_AUTOPSY_REPS", 10));
   core::SyntheticCorpusConfig autopsy_corpus;
   autopsy_corpus.payload_bytes = 32768;
   autopsy_corpus.unique_payload = true;
   autopsy_corpus.pem_certs_in_payload = 2;
-  std::unique_ptr<obs::Timeline> autopsy_timeline;
-  double autopsy_base_ms = 0.0, autopsy_timeline_ms = 0.0;
+  // Untimed sizing runs, which also warm the allocator and page cache.
+  while (TimedStream(autopsy_apps, workers, nullptr, nullptr, nullptr,
+                     &autopsy_corpus) < kAutopsyMinRunMs) {
+    autopsy_apps *= 2;
+  }
   std::fprintf(stderr,
-               "[pinscope] autopsy overhead: %zu apps, timeline off vs on...\n",
-               autopsy_apps);
-  (void)TimedStream(autopsy_apps, workers, nullptr, nullptr, nullptr,
-                    &autopsy_corpus);  // warm allocator/page cache
-  for (int rep = 0; rep < autopsy_reps; ++rep) {
+               "[pinscope] autopsy overhead: %zu apps, %d pairs of timeline "
+               "off then on...\n",
+               autopsy_apps, autopsy_pairs);
+  std::unique_ptr<obs::Timeline> autopsy_timeline;
+  std::vector<double> off_ms, on_ms, overhead_pct;
+  for (int pair = 0; pair < autopsy_pairs; ++pair) {
     const double off = TimedStream(autopsy_apps, workers, nullptr, nullptr,
                                    nullptr, &autopsy_corpus);
-    // Fresh timeline per instrumented rep so the reported autopsy describes
+    // Fresh timeline per instrumented run so the reported autopsy describes
     // exactly one run, not two overlaid ones.
     autopsy_timeline = std::make_unique<obs::Timeline>();
     const double on = TimedStream(autopsy_apps, workers, nullptr, nullptr,
                                   autopsy_timeline.get(), &autopsy_corpus);
-    autopsy_base_ms = rep == 0 ? off : std::min(autopsy_base_ms, off);
-    autopsy_timeline_ms = rep == 0 ? on : std::min(autopsy_timeline_ms, on);
+    off_ms.push_back(off);
+    on_ms.push_back(on);
+    overhead_pct.push_back((on - off) / off * 100.0);
   }
-  const double autopsy_overhead_pct =
-      autopsy_base_ms > 0.0
-          ? (autopsy_timeline_ms - autopsy_base_ms) / autopsy_base_ms * 100.0
-          : 0.0;
+  const double autopsy_base_ms = Quantile(off_ms, 0.5);
+  const double autopsy_timeline_ms = Quantile(on_ms, 0.5);
+  const double overhead_q1 = Quantile(overhead_pct, 0.25);
+  const double overhead_median = Quantile(overhead_pct, 0.5);
+  const double overhead_q3 = Quantile(overhead_pct, 0.75);
   const obs::Autopsy autopsy = obs::Analyze(*autopsy_timeline);
-  const double record_ns_per_interval = RecordCostNsPerInterval(autopsy_reps);
+  const double record_ns_per_interval = RecordCostNsPerInterval(5);
   // The path length/weight over a *sampled* reservoir varies run to run
   // (which intervals survive sampling decides where the walk can reach),
   // so the JSON reports the unitless share of wall — informational, never
@@ -239,10 +257,11 @@ int main() {
   const double critical_path_share =
       autopsy.wall_us > 0.0 ? autopsy.critical_path_us / autopsy.wall_us : 0.0;
   std::fprintf(stderr,
-               "[pinscope] autopsy: off %.0f ms, on %.0f ms (%+.2f%%, "
-               "%.0f ns/interval), critical path %zu segments / %.0f us\n",
-               autopsy_base_ms, autopsy_timeline_ms, autopsy_overhead_pct,
-               record_ns_per_interval, autopsy.critical_path.size(),
+               "[pinscope] autopsy: off %.0f ms, on %.0f ms (median), "
+               "overhead %+.2f%% (IQR %+.2f%% .. %+.2f%%), %.0f ns/interval, "
+               "critical path %zu segments / %.0f us\n",
+               autopsy_base_ms, autopsy_timeline_ms, overhead_median,
+               overhead_q1, overhead_q3, record_ns_per_interval, autopsy.critical_path.size(),
                autopsy.critical_path_us);
 
   // --- Claim 2: warm start from persisted caches. -------------------------
@@ -330,8 +349,10 @@ int main() {
       "                 \"scan_cache_bytes\": %llu,\n"
       "                 \"load_ms\": %s,\n"
       "                 \"save_ms\": %s},\n"
-      "  \"autopsy\": {\"apps\": %zu, \"baseline_ms\": %.3f,\n"
-      "              \"timeline_ms\": %.3f, \"overhead_pct\": %.2f,\n"
+      "  \"autopsy\": {\"apps\": %zu, \"pairs\": %d,\n"
+      "              \"baseline_ms\": %.3f, \"timeline_ms\": %.3f,\n"
+      "              \"overhead_pct\": %.2f, \"overhead_q1_pct\": %.2f,\n"
+      "              \"overhead_q3_pct\": %.2f, \"overhead_iqr_pct\": %.2f,\n"
       "              \"within_2pct\": %s,\n"
       "              \"record_cost_ns_per_interval\": %.1f,\n"
       "              \"critical_path_segments\": %zu,\n"
@@ -344,8 +365,9 @@ int main() {
       flat ? "true" : "false", warm_apps, cold_ms, warm_ms, warm_speedup,
       static_cast<unsigned long long>(scan_cache_bytes),
       SpreadJson(load_ms).c_str(), SpreadJson(save_ms).c_str(),
-      autopsy_apps, autopsy_base_ms, autopsy_timeline_ms, autopsy_overhead_pct,
-      autopsy_overhead_pct <= 2.0 ? "true" : "false", record_ns_per_interval,
+      autopsy_apps, autopsy_pairs, autopsy_base_ms, autopsy_timeline_ms,
+      overhead_median, overhead_q1, overhead_q3, overhead_q3 - overhead_q1,
+      overhead_q3 <= 2.0 ? "true" : "false", record_ns_per_interval,
       autopsy.critical_path.size(), critical_path_share,
       static_cast<unsigned long long>(autopsy.intervals_seen),
       static_cast<unsigned long long>(autopsy.intervals_sampled),

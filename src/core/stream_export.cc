@@ -15,30 +15,23 @@ int PlatformRank(appmodel::Platform p) {
 
 }  // namespace
 
-StreamExporter::StreamExporter(Options options) : options_(std::move(options)) {
-  if (!options_.live_jsonl_path.empty()) {
-    live_.open(options_.live_jsonl_path, std::ios::out | std::ios::trunc);
-  }
-}
+StreamExporter::StreamExporter(Options options) : options_(options) {}
 
 void StreamExporter::OnResult(appmodel::Platform platform, const AppResult& r) {
+  if (!options_.retain_rows) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++results_;
+    return;
+  }
   Row row;
   row.json_line = AppResultJsonLine(r, platform);
-  if (options_.retain_rows) {
-    row.csv_rows = AppResultCsvRows(r, platform);
-    row.verdict = AppResultVerdict(r, platform);
-  }
+  row.csv_rows = AppResultCsvRows(r, platform);
+  row.verdict = AppResultVerdict(r, platform);
 
   std::lock_guard<std::mutex> lock(mu_);
   ++results_;
-  if (live_.is_open()) {
-    live_ << row.json_line;
-    live_.flush();
-  }
-  if (options_.retain_rows) {
-    rows_.insert_or_assign(RowKey{PlatformRank(platform), r.universe_index},
-                           std::move(row));
-  }
+  rows_.insert_or_assign(RowKey{PlatformRank(platform), r.universe_index},
+                         std::move(row));
 }
 
 void StreamExporter::MergeBase(const StreamExporter& prev) {

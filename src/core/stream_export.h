@@ -14,13 +14,11 @@
 //  - retain_rows = true (default): rows are kept for the Finish* replay and
 //    for incremental merges. Per-app memory is a few hundred bytes of
 //    serialized text — ~10^3x smaller than a hydrated App.
-//  - retain_rows = false: nothing is kept; pair with `live_jsonl_path` to
-//    emit a completion-ordered JSON Lines stream. This is the truly
-//    O(in-flight) mode the 100k-app memory benchmark runs in.
+//  - retain_rows = false: nothing is kept but the result count. This is the
+//    truly O(in-flight) mode the 100k-app memory benchmark runs in.
 #pragma once
 
 #include <cstddef>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -38,10 +36,6 @@ class StreamExporter {
     /// Keep per-app rows for the ordered Finish* replay (and incremental
     /// merging). Off = bounded-memory firehose mode.
     bool retain_rows = true;
-    /// When non-empty, every result is appended to this file as a JSON line
-    /// in completion order, flushed per app. Completion order is
-    /// schedule-dependent; the *set* of lines equals the ordered export.
-    std::string live_jsonl_path;
   };
 
   StreamExporter() = default;
@@ -92,7 +86,6 @@ class StreamExporter {
   mutable std::mutex mu_;
   std::map<RowKey, Row> rows_;
   std::size_t results_ = 0;
-  std::ofstream live_;
 };
 
 }  // namespace pinscope::core

@@ -75,7 +75,6 @@ class ChainEvents {
     if (trace_ != nullptr && !trace_->enabled()) trace_ = nullptr;
     obs::MetricsRegistry* metrics = obs::MetricsOf(options.observer);
     tasks_ = obs::CounterOrNull(metrics, "sched.tasks");
-    retries_ = obs::CounterOrNull(metrics, "sched.retries");
     failures_ = obs::CounterOrNull(metrics, "sched.failures");
     for (const util::PipelineStage& stage : stages) {
       phases_.push_back(obs::PhaseHistogramOrNull(metrics, "phase." + stage.name));
@@ -106,9 +105,6 @@ class ChainEvents {
       case Kind::kStageEnd:
       case Kind::kStageFailed:
         OnStageEnd(event, key);
-        break;
-      case Kind::kRetry:
-        retries_.Increment();
         break;
       case Kind::kRunEnd:
       case Kind::kWorkerBegin:
@@ -176,7 +172,6 @@ class ChainEvents {
   obs::Timeline* timeline_;
   obs::TraceSink* trace_;
   obs::Counter tasks_;
-  obs::Counter retries_;
   obs::Counter failures_;
   std::vector<obs::Histogram> phases_;  ///< phase.<stage>, by stage index.
   std::unique_ptr<Worker[]> workers_;  ///< Indexed by worker id.
@@ -270,7 +265,6 @@ StreamStudyResult RunStudyChain(const CorpusSource& source,
 
     util::PipelineOptions popts;
     popts.threads = options.threads;
-    popts.max_stage_retries = options.stage_retries;
     popts.faults = options.fault_plan;
     if (options.telemetry != nullptr) options.telemetry->AddTotal(slots.size());
     ChainEvents events(options, slots, stages);

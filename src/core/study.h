@@ -91,13 +91,10 @@ struct StudyOptions {
   /// reports are byte-identical with a timeline attached or not
   /// (`ctest -L autopsy`).
   obs::Timeline* timeline = nullptr;
-  /// Re-run a failed stage this many times before recording the app's
-  /// error verdict. Stage bodies overwrite their slot, so a retried stage
-  /// replays cleanly.
-  int stage_retries = 0;
-  /// Test-only fault injection (delays and transient failures at stage
-  /// entry, keyed by work-item index and stage: 0 hydrate, 1 static,
-  /// 2 dynamic, 3 verdict; see util/pipeline_scheduler.h).
+  /// Test-only fault injection (delays and failures at stage entry, keyed
+  /// by work-item index and stage: 0 hydrate, 1 static, 2 dynamic,
+  /// 3 verdict; see util/pipeline_scheduler.h). A failed stage is final:
+  /// it becomes the app's error verdict.
   const util::SchedulerFaultPlan* fault_plan = nullptr;
   /// Streaming hook: called once per app as its result is finalized, in
   /// completion order from worker threads (synchronize externally; the

@@ -31,8 +31,7 @@ SimdLevel HostSimdLevel() {
 }
 
 bool HostShaNiAllowed() {
-  if (EnvSet("PINSCOPE_NO_SIMD") || EnvSet("PINSCOPE_NO_SHANI")) return false;
-  return HostHasShaNi();
+  return !EnvSet("PINSCOPE_NO_SIMD") && HostHasShaNi();
 }
 
 #else

@@ -9,7 +9,6 @@
 // Kill-switches (read from the environment):
 //   PINSCOPE_NO_SIMD   — force the portable scalar path everywhere.
 //   PINSCOPE_NO_AVX2   — cap vector scanning at SSE2 (AVX2 stays unused).
-//   PINSCOPE_NO_SHANI  — disable the SHA extensions path.
 //
 // SimdLevel() re-reads the environment on every call (CPUID results are
 // cached; getenv is cheap), so tests can flip a knob with setenv and have
@@ -36,7 +35,7 @@ enum class SimdLevel {
 [[nodiscard]] SimdLevel DetectSimdLevel();
 
 /// True when the SHA-256 SHA-NI block function may be used (hardware
-/// support present and neither PINSCOPE_NO_SHANI nor PINSCOPE_NO_SIMD set).
+/// support present and PINSCOPE_NO_SIMD not set).
 [[nodiscard]] bool ShaNiAllowed();
 
 }  // namespace pinscope::crypto::cpu

@@ -113,17 +113,12 @@ DynamicReport RunDynamicAnalysis(const appmodel::App& app,
           ? ExclusionRules::ForIos(app.behavior.associated_domains)
           : ExclusionRules{};
   // Detection scratch: the (unsynchronized) arena is touched by exactly
-  // this thread. The thread-local fallback rewinds at each flight, keeping
-  // steady-state allocator traffic O(1) per flight even when no arena was
-  // passed in.
-  util::Arena* scratch = options.arena;
-  if (scratch == nullptr) {
-    thread_local util::Arena flight_arena;
-    flight_arena.Reset();
-    scratch = &flight_arena;
-  }
+  // this thread and rewinds at each flight, keeping steady-state allocator
+  // traffic O(1) per flight. Reports never hold arena pointers.
+  thread_local util::Arena flight_arena;
+  flight_arena.Reset();
   const DetectionResult detection =
-      DetectPinning(baseline, mitm, exclusions, scratch);
+      DetectPinning(baseline, mitm, exclusions, &flight_arena);
 
   // Instrumented pass, only when pinning was observed.
   obs::EventScope frida_log = obs::ScopeFor(options.observer, platform,

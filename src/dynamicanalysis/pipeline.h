@@ -15,7 +15,6 @@
 #include "appmodel/server_world.h"
 #include "dynamicanalysis/detector.h"
 #include "obs/obs.h"
-#include "util/arena.h"
 #include "x509/certificate.h"
 
 namespace pinscope::dynamicanalysis {
@@ -48,13 +47,6 @@ struct DynamicOptions {
   /// observational — reports are byte-identical with or without it
   /// (DESIGN.md §11).
   obs::Observer* observer = nullptr;
-  /// Scratch arena for the flight's detection phase. Null ⇒ the pipeline
-  /// uses a thread-local arena it resets at flight start, so steady-state
-  /// allocator traffic per flight is O(1) either way. The arena is touched
-  /// only by the calling thread (see util/arena.h): never share one arena
-  /// across flights that run concurrently, and reset an externally-owned
-  /// arena between flights yourself. Reports never hold arena pointers.
-  util::Arena* arena = nullptr;
 };
 
 /// Everything the pipeline concluded about one destination of one app.

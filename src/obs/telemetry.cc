@@ -10,6 +10,9 @@ namespace pinscope::obs {
 
 namespace {
 
+/// Rows in the straggler table the watchdog renders when a run stalls.
+constexpr std::size_t kStragglerRows = 5;
+
 bool HasSuffix(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -197,8 +200,7 @@ void Telemetry::RunWatchdog(const TelemetryFrame& frame) {
   }
   watchdog_armed_ = false;  // re-arms only once progress resumes
   watchdog_fires_.fetch_add(1, std::memory_order_relaxed);
-  const std::vector<StragglerRow> rows =
-      Stragglers(options_.straggler_top_k);
+  const std::vector<StragglerRow> rows = Stragglers(kStragglerRows);
   std::vector<LogField> fields;
   fields.push_back({"stalled_ticks", LogValue(stalled_ticks_)});
   fields.push_back({"inflight", LogValue(frame.inflight)});

@@ -85,8 +85,6 @@ struct TelemetryOptions {
   /// Watchdog threshold: consecutive ticks without a chain completion (while
   /// chains are in flight) before the stall event fires.
   int stall_ticks = 8;
-  /// Rows in the rendered straggler table.
-  std::size_t straggler_top_k = 5;
   /// Progress/straggler output stream; nullptr = stderr.
   std::FILE* progress_stream = nullptr;
 };

@@ -311,8 +311,6 @@ void Timeline::OnEvent(const util::RunEvent& event, std::uint64_t key) {
         RecordIdle(w, IntervalKind::kTailJoin, LaneFor(w).end_us, us);
       }
       break;
-    case Kind::kRetry:
-      break;
   }
 }
 

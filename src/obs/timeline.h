@@ -47,7 +47,7 @@ namespace pinscope::obs {
 /// records kQueueStarved or kBackpressure; both stay in the taxonomy so
 /// every report keeps one column per kind.
 enum class IntervalKind : std::uint8_t {
-  kStage,         ///< Running a stage body (attempt loop, incl. retries).
+  kStage,         ///< Running a stage body.
   kQueueStarved,  ///< Blocked waiting for work to arrive.
   kBackpressure,  ///< Blocked handing work to a full buffer.
   kLockWait,      ///< Waiting on a contended TrackedMutex.

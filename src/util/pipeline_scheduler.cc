@@ -10,19 +10,15 @@
 namespace pinscope::util {
 
 void SchedulerFaultPlan::Set(std::size_t stage, std::size_t item, Fault fault) {
-  Cell& cell = faults_[{stage, item}];
-  cell.delay = fault.delay;
-  cell.remaining_failures.store(fault.fail_times, std::memory_order_relaxed);
+  faults_[{stage, item}] = fault;
 }
 
 void SchedulerFaultPlan::MaybeInject(std::size_t stage, std::size_t item) const {
   const auto it = faults_.find({stage, item});
   if (it == faults_.end()) return;
-  const Cell& cell = it->second;
-  if (cell.delay.count() > 0) std::this_thread::sleep_for(cell.delay);
-  // fetch_sub admits exactly fail_times throws even when attempts race.
-  if (cell.remaining_failures.load(std::memory_order_relaxed) > 0 &&
-      cell.remaining_failures.fetch_sub(1, std::memory_order_relaxed) > 0) {
+  const Fault& fault = it->second;
+  if (fault.delay.count() > 0) std::this_thread::sleep_for(fault.delay);
+  if (fault.fail) {
     throw Error("injected fault: stage " + std::to_string(stage) + ", item " +
                 std::to_string(item));
   }
@@ -56,39 +52,30 @@ struct Run {
   }
 };
 
-/// Runs one stage's attempt loop for an item; returns true when the stage
-/// (eventually) succeeded, false when it failed after retries (failure
-/// recorded in `sink`).
+/// Runs one stage of an item once; returns true when it succeeded, false
+/// when it threw (failure recorded in `sink`). A stage is a pure function of
+/// the study seed and the item, so running it again would throw again.
 bool RunStageGuarded(const Run& run, std::size_t item, std::size_t stage_index,
                      std::uint32_t worker, std::vector<StageFailure>& sink) {
   const PipelineStage& stage = (*run.stages)[stage_index];
-  const int max_retries = std::max(run.options->max_stage_retries, 0);
-  const bool observed = static_cast<bool>(run.options->on_event);
   RunEvent event;
-  if (observed) {
+  if (run.options->on_event) {
     event = {.worker = worker, .item = item, .stage = stage_index,
              .stage_name = stage.name};
   }
   run.Emit(event, RunEvent::Kind::kStageBegin);
   std::string message;
-  for (int attempt = 0; attempt <= max_retries; ++attempt) {
-    if (attempt > 0 && observed) {
-      RunEvent retry = event;
-      retry.message = message;
-      run.Emit(retry, RunEvent::Kind::kRetry);
+  try {
+    if (run.options->faults != nullptr) {
+      run.options->faults->MaybeInject(stage_index, item);
     }
-    try {
-      if (run.options->faults != nullptr) {
-        run.options->faults->MaybeInject(stage_index, item);
-      }
-      stage.body(item);
-      run.Emit(event, RunEvent::Kind::kStageEnd, true);
-      return true;
-    } catch (const std::exception& e) {
-      message = e.what();
-    } catch (...) {
-      message = "unknown exception";
-    }
+    stage.body(item);
+    run.Emit(event, RunEvent::Kind::kStageEnd, true);
+    return true;
+  } catch (const std::exception& e) {
+    message = e.what();
+  } catch (...) {
+    message = "unknown exception";
   }
   sink.push_back({item, stage_index, stage.name, std::move(message)});
   event.message = sink.back().message;

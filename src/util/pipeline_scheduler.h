@@ -22,7 +22,6 @@
 // subscriber in core/stream_study.cc; this module knows none of them.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -47,32 +46,27 @@ struct PipelineStage {
 /// Test-only fault injection for the scheduler (tests/core/sched_fault_test).
 /// Faults fire at stage *entry* — before the stage body runs — so an
 /// injected failure never leaves partial per-item state (journal events,
-/// half-written reports) behind, and a retried stage replays from scratch.
-/// Configure with Set() before the run (not thread-safe); MaybeInject is
-/// called concurrently by workers and is safe.
+/// half-written reports) behind. Configure with Set() before the run (not
+/// thread-safe); MaybeInject only reads the plan, so workers may call it
+/// concurrently.
 class SchedulerFaultPlan {
  public:
   struct Fault {
     /// Sleep this long at stage entry (a "slow app").
     std::chrono::milliseconds delay{0};
-    /// Throw for this many attempts before letting the stage run (a
-    /// "transiently failing app"; make it huge for a permanent failure).
-    int fail_times = 0;
+    /// Throw instead of running the stage (a "failing app").
+    bool fail = false;
   };
 
   /// Arms a fault for stage `stage` of item `item`.
   void Set(std::size_t stage, std::size_t item, Fault fault);
 
   /// Applies any armed fault for (stage, item): sleeps, then throws
-  /// util::Error("injected fault ...") while failures remain.
+  /// util::Error("injected fault ...") if the fault fails the stage.
   void MaybeInject(std::size_t stage, std::size_t item) const;
 
  private:
-  struct Cell {
-    std::chrono::milliseconds delay{0};
-    mutable std::atomic<int> remaining_failures{0};
-  };
-  std::map<std::pair<std::size_t, std::size_t>, Cell> faults_;
+  std::map<std::pair<std::size_t, std::size_t>, Fault> faults_;
 };
 
 /// One thing that happened in a run, as the scheduler reports it through
@@ -85,23 +79,22 @@ struct RunEvent {
     kRunEnd,       ///< On the caller, after every worker has joined.
     kWorkerBegin,  ///< On the worker, before its first claim.
     kWorkerEnd,    ///< On the worker, after its last chain ended.
-    kStageBegin,   ///< Entering a stage's attempt loop (before any fault).
-    kStageEnd,     ///< The stage succeeded (possibly after retries).
-    kStageFailed,  ///< Retries exhausted; the item's later stages are skipped.
-    kRetry,        ///< A failed attempt is about to be re-run.
+    kStageBegin,   ///< Entering a stage (before any injected fault).
+    kStageEnd,     ///< The stage succeeded.
+    kStageFailed,  ///< The stage threw; the item's later stages are skipped.
   };
 
   Kind kind = Kind::kRunBegin;
   /// The worker it happened on; for run events, the run's worker count.
   std::uint32_t worker = 0;
-  std::size_t item = 0;   ///< Stage and retry events.
-  std::size_t stage = 0;  ///< Stage and retry events.
+  std::size_t item = 0;   ///< Stage events.
+  std::size_t stage = 0;  ///< Stage events.
   std::chrono::steady_clock::time_point time{};
   /// End and failed events: the time since the matching begin (for a stage,
-  /// its whole attempt loop, injected delays and retries included).
+  /// injected delays included).
   std::chrono::steady_clock::duration elapsed{};
-  std::string_view stage_name{};  ///< Stage and retry events.
-  std::string_view message{};     ///< kStageFailed, kRetry: the error.
+  std::string_view stage_name{};  ///< Stage events.
+  std::string_view message{};     ///< kStageFailed: the error.
 };
 
 /// Knobs for one pipelined run.
@@ -109,10 +102,6 @@ struct PipelineOptions {
   /// Worker threads: 0 = hardware concurrency, 1 = run inline on the caller
   /// (no threads spawned), N = at most N workers (the caller is one of them).
   int threads = 0;
-  /// Re-run a stage this many times after it throws before recording the
-  /// failure. Retries replay the whole stage, so bodies must be idempotent
-  /// per attempt (the study stages are: they overwrite their slot).
-  int max_stage_retries = 0;
   /// Test-only fault injection (see SchedulerFaultPlan).
   const SchedulerFaultPlan* faults = nullptr;
   /// Optional subscriber to every RunEvent of the run, called concurrently
@@ -143,9 +132,10 @@ struct PipelineResult {
 [[nodiscard]] int ResolveThreads(int requested, std::size_t n);
 
 /// Runs every item of [0, n) through `stages` in order, one whole chain per
-/// claim, with items overlapping across workers. Exceptions escaping a stage
-/// (after retries) are collected per item — never thrown — so one failing
-/// item cannot abort its siblings; the item's remaining stages are skipped.
+/// claim, with items overlapping across workers. Each stage body runs once:
+/// an exception escaping it is collected per item — never thrown — so one
+/// failing item cannot abort its siblings; the item's remaining stages are
+/// skipped.
 [[nodiscard]] PipelineResult RunPipeline(std::size_t n,
                                          const std::vector<PipelineStage>& stages,
                                          const PipelineOptions& options = {});

@@ -1,9 +1,8 @@
 // Fault-injection suite for the study chain (DESIGN.md §13): a slow
 // or failing app must never stall its siblings, stage failures surface as
-// per-app error verdicts instead of aborted studies, and transient failures
-// recovered by retries leave no trace — exports and journal stay
-// byte-identical to a fault-free run (faults inject at stage *entry*, before
-// the stage body writes anything).
+// per-app error verdicts instead of aborted studies (faults inject at stage
+// *entry*, before the stage body writes anything), and a delay alone leaves
+// no trace — exports and journal stay byte-identical to a fault-free run.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -59,7 +58,7 @@ struct FaultRun {
 };
 
 FaultRun RunWithFaults(const store::Ecosystem& eco,
-                      const util::SchedulerFaultPlan* plan, int retries,
+                      const util::SchedulerFaultPlan* plan,
                       std::function<void(const AppResult&)> on_result = {},
                       obs::Observer* external_observer = nullptr) {
   obs::Observer local_observer;
@@ -71,7 +70,6 @@ FaultRun RunWithFaults(const store::Ecosystem& eco,
   StudyOptions opts;
   opts.threads = 4;
   opts.fault_plan = plan;
-  opts.stage_retries = retries;
   opts.observer = &observer;
   opts.on_result = std::move(on_result);
 
@@ -117,12 +115,12 @@ TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
   // siblings' whole chains stream out during the sleep and the slow app
   // lands in the back half of the completion order.
   util::SchedulerFaultPlan plan;
-  plan.Set(kStatic, /*item=*/0, {.delay = 750ms, .fail_times = 0});
+  plan.Set(kStatic, /*item=*/0, {.delay = 750ms});
 
   std::mutex mu;
   std::vector<std::pair<appmodel::Platform, std::size_t>> completion_order;
   const FaultRun slow =
-      RunWithFaults(eco, &plan, /*retries=*/0, [&](const AppResult& r) {
+      RunWithFaults(eco, &plan, [&](const AppResult& r) {
         std::lock_guard<std::mutex> lock(mu);
         completion_order.emplace_back(r.app->meta.platform, r.universe_index);
       });
@@ -139,7 +137,7 @@ TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
       << "siblings waited for the slow app";
 
   // The delay was pure schedule perturbation: results match a clean run.
-  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr);
   EXPECT_EQ(clean.json, slow.json);
   EXPECT_EQ(clean.csv, slow.csv);
   EXPECT_EQ(clean.journal, slow.journal);
@@ -148,12 +146,11 @@ TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
 TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
   util::SchedulerFaultPlan plan;
-  // More failures than the retry budget: item 2's static stage and item 4's
-  // hydrate stage are terminal.
-  plan.Set(kStatic, /*item=*/2, {.delay = 0ms, .fail_times = 1000000});
-  plan.Set(kHydrate, /*item=*/4, {.delay = 0ms, .fail_times = 1000000});
+  // Item 2's static stage and item 4's hydrate stage fail.
+  plan.Set(kStatic, /*item=*/2, {.delay = 0ms, .fail = true});
+  plan.Set(kHydrate, /*item=*/4, {.delay = 0ms, .fail = true});
 
-  const FaultRun out = RunWithFaults(eco, &plan, /*retries=*/1);
+  const FaultRun out = RunWithFaults(eco, &plan);
   ASSERT_EQ(out.failed_apps.size(), 2u);
 
   for (const auto& [index, stage] :
@@ -170,7 +167,7 @@ TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
   }
 
   // Every sibling's verdicts are untouched by the failure.
-  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr);
   EXPECT_TRUE(clean.failed_apps.empty());
   const std::map<std::string, std::string> clean_verdicts =
       VerdictsByApp(clean.study);
@@ -186,31 +183,13 @@ TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
   EXPECT_FALSE(out.journal.empty());
 }
 
-TEST(SchedFaultTest, TransientFailureRecoversWithRetriesByteIdentically) {
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
-  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
-
-  util::SchedulerFaultPlan plan;
-  plan.Set(kStatic, /*item=*/1, {.delay = 5ms, .fail_times = 2});
-  plan.Set(kDynamic, /*item=*/3, {.delay = 0ms, .fail_times = 1});
-  const FaultRun retried = RunWithFaults(eco, &plan, /*retries=*/2);
-
-  // Both faults were transient and the budget covered them: no error
-  // verdicts, and — because injection precedes the stage body — the retried
-  // stages replayed cleanly. Byte-identical everything.
-  EXPECT_TRUE(retried.failed_apps.empty());
-  EXPECT_EQ(clean.json, retried.json);
-  EXPECT_EQ(clean.csv, retried.csv);
-  EXPECT_EQ(clean.journal, retried.journal);
-}
-
 TEST(SchedFaultTest, DynamicStageFaultIsAttributedToTheDynamicStage) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(23);
   util::SchedulerFaultPlan plan;
-  plan.Set(kDynamic, /*item=*/0, {.delay = 0ms, .fail_times = 1000000});
+  plan.Set(kDynamic, /*item=*/0, {.delay = 0ms, .fail = true});
 
   obs::Observer observer;
-  const FaultRun out = RunWithFaults(eco, &plan, /*retries=*/0, {}, &observer);
+  const FaultRun out = RunWithFaults(eco, &plan, {}, &observer);
   ASSERT_EQ(out.failed_apps.size(), 1u);
 
   const WorkItem item = WorkList(eco)[0];

@@ -218,8 +218,8 @@ TEST(TimelineTest, ParallelRecordersStayExactAcrossLanes) {
 TEST(TimelineTest, ScriptedRunEventsAccountForEveryMicrosecond) {
   // Two workers over a 100 µs run, every time scripted. Worker 0 ramps up
   // for 5 µs, runs item 0's two stages (35 + 30 µs) and waits 30 µs for
-  // the join. Worker 1 ramps up for 12 µs, fails item 1's first stage after
-  // a retry (38 µs), runs item 2 (10 + 30 µs) and waits 10 µs. The timeline
+  // the join. Worker 1 ramps up for 12 µs, fails item 1's first stage
+  // (38 µs), runs item 2 (10 + 30 µs) and waits 10 µs. The timeline
   // reads no clock, so the buckets are exact and nothing is unattributed.
   using Kind = util::RunEvent::Kind;
   using std::chrono::microseconds;
@@ -250,7 +250,6 @@ TEST(TimelineTest, ScriptedRunEventsAccountForEveryMicrosecond) {
   std::thread worker1([&] {
     feed(Kind::kWorkerBegin, 1, 0, 0, 12);
     feed(Kind::kStageBegin, 1, 1, 0, 12);
-    feed(Kind::kRetry, 1, 1, 0, 30);
     feed(Kind::kStageFailed, 1, 1, 0, 50, 38);
     feed(Kind::kStageBegin, 1, 2, 0, 50);
     feed(Kind::kStageEnd, 1, 2, 0, 60, 10);

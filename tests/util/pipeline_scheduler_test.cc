@@ -2,10 +2,11 @@
 // (util/pipeline_scheduler.h): no task lost or duplicated across worker
 // counts, every stage of an item on one thread in chain order, at most
 // `workers` items in flight, clean shutdown with in-flight work, failure
-// isolation + retries (failures collected in item order, non-std exceptions
-// included), a 10k-item stress run, per-item dependency ordering under a
-// seeded random perturbation of stage timings, worker-count resolution, the
-// run-event stream, and idle attribution on a timeline subscribed to it.
+// isolation (a throwing body runs once; failures collected in item order,
+// non-std exceptions included), a 10k-item stress run, per-item dependency
+// ordering under a seeded random perturbation of stage timings,
+// worker-count resolution, the run-event stream, and idle attribution on a
+// timeline subscribed to it.
 #include "util/pipeline_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -217,29 +218,35 @@ TEST(PipelineSchedulerTest, StageFailureSkipsLaterStagesOfThatItemOnly) {
   }
 }
 
-TEST(PipelineSchedulerTest, RetriesRecoverTransientFailures) {
-  std::atomic<int> attempts{0};
-  std::vector<PipelineStage> stages = {
-      {"transient", [&](std::size_t) {
-         if (attempts.fetch_add(1) < 2) throw Error("transient");
+TEST(PipelineSchedulerTest, ThrowingStageBodyRunsExactlyOnce) {
+  // A stage is a pure function of its item, so a failure is final: the
+  // body is called once, and its events are a begin and a failed, nothing
+  // in between.
+  using Kind = RunEvent::Kind;
+  std::atomic<int> calls{0};
+  const std::vector<PipelineStage> stages = {
+      {"doomed", [&](std::size_t) {
+         calls.fetch_add(1);
+         throw Error("permanent");
        }},
   };
-  int retries = 0;
+  std::vector<Kind> stage_events;
   PipelineOptions options;
   options.threads = 1;
-  options.max_stage_retries = 2;
-  options.on_event = [&retries](const RunEvent& e) {
-    if (e.kind == RunEvent::Kind::kRetry) ++retries;
+  options.on_event = [&stage_events](const RunEvent& e) {
+    if (e.kind >= Kind::kStageBegin) stage_events.push_back(e.kind);
   };
   const PipelineResult result = RunPipeline(1, stages, options);
-  EXPECT_TRUE(result.failures.empty());
-  EXPECT_EQ(attempts.load(), 3);
-  EXPECT_EQ(retries, 2);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].message, "permanent");
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(stage_events,
+            (std::vector<Kind>{Kind::kStageBegin, Kind::kStageFailed}));
 }
 
 TEST(PipelineSchedulerTest, FaultPlanInjectsAtStageEntry) {
   SchedulerFaultPlan plan;
-  plan.Set(/*stage=*/0, /*item=*/2, {.delay = 0ms, .fail_times = 1});
+  plan.Set(/*stage=*/0, /*item=*/2, {.delay = 0ms, .fail = true});
   std::atomic<int> ran{0};
   std::vector<PipelineStage> stages = {
       {"only", [&](std::size_t) { ran.fetch_add(1); }},
@@ -247,15 +254,11 @@ TEST(PipelineSchedulerTest, FaultPlanInjectsAtStageEntry) {
   PipelineOptions options;
   options.threads = 1;
   options.faults = &plan;
-  const PipelineResult first = RunPipeline(4, stages, options);
-  ASSERT_EQ(first.failures.size(), 1u);
-  EXPECT_EQ(first.failures[0].item, 2u);
+  const PipelineResult result = RunPipeline(4, stages, options);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].item, 2u);
   // The faulted item's body never ran: injection precedes the stage.
   EXPECT_EQ(ran.load(), 3);
-
-  // fail_times exhausted: the same plan lets a second run through.
-  const PipelineResult second = RunPipeline(4, stages, options);
-  EXPECT_TRUE(second.failures.empty());
 }
 
 TEST(PipelineSchedulerTest, StressTenThousandTinyItems) {
@@ -306,15 +309,12 @@ TEST(PipelineSchedulerTest, EmptyInputsAreNoOps) {
 }
 
 TEST(PipelineSchedulerTest, EventsOfOneItemFollowItsChain) {
-  // One item, one retry allowed: the first stage fails once and recovers,
-  // the second fails for good, and the third never runs. The events say so
-  // in order: begin → retry → end, then begin → retry → failed.
+  // One item: the first stage succeeds, the second fails, and the third
+  // never runs. The events say so in order: begin → end, then
+  // begin → failed.
   using Kind = RunEvent::Kind;
-  int flaky_attempts = 0;
   const std::vector<PipelineStage> stages = {
-      {"flaky", [&](std::size_t) {
-         if (flaky_attempts++ == 0) throw Error("transient");
-       }},
+      {"fine", [](std::size_t) {}},
       {"doomed", [](std::size_t) { throw Error("permanent"); }},
       {"never", [](std::size_t) { FAIL() << "runs after a failed stage"; }},
   };
@@ -329,7 +329,6 @@ TEST(PipelineSchedulerTest, EventsOfOneItemFollowItsChain) {
   std::vector<std::chrono::steady_clock::time_point> times;
   PipelineOptions options;
   options.threads = 1;
-  options.max_stage_retries = 1;
   options.on_event = [&](const RunEvent& e) {
     seen.push_back({e.kind, e.worker, e.stage, std::string(e.stage_name),
                     std::string(e.message)});
@@ -342,11 +341,9 @@ TEST(PipelineSchedulerTest, EventsOfOneItemFollowItsChain) {
   const std::vector<Seen> expected = {
       {Kind::kRunBegin, 1, 0, "", ""},
       {Kind::kWorkerBegin, 0, 0, "", ""},
-      {Kind::kStageBegin, 0, 0, "flaky", ""},
-      {Kind::kRetry, 0, 0, "flaky", "transient"},
-      {Kind::kStageEnd, 0, 0, "flaky", ""},
+      {Kind::kStageBegin, 0, 0, "fine", ""},
+      {Kind::kStageEnd, 0, 0, "fine", ""},
       {Kind::kStageBegin, 0, 1, "doomed", ""},
-      {Kind::kRetry, 0, 1, "doomed", "permanent"},
       {Kind::kStageFailed, 0, 1, "doomed", "permanent"},
       {Kind::kWorkerEnd, 0, 0, "", ""},
       {Kind::kRunEnd, 1, 0, "", ""},

@@ -2,20 +2,28 @@
 //
 //   pinscope generate [--scale S] [--seed N]
 //       Generate an ecosystem and print its corpus summary.
-//   pinscope study [--scale S] [--seed N] [--threads T] [--json FILE] [--csv FILE]
-//       Run the full measurement study; print Table-3-style prevalence and
-//       optionally export the per-app dataset.
+//   pinscope study [--scale S] [--seed N] [--threads T] [artifact flags]
+//       Run the full measurement study and print Table-3-style prevalence.
 //   pinscope audit APP_ID [--scale S] [--seed N]
 //       Static + dynamic + circumvention audit of a single app.
-//   pinscope tables [--scale S] [--seed N]
+//   pinscope tables [--scale S] [--seed N] [artifact flags]
 //       Print every paper table from a fresh study.
+//   pinscope autopsy [--scale S] [--seed N] [artifact flags]
+//       Run the study with the interval timeline attached and print the
+//       causal profile.
 //   pinscope longitudinal [--scale S] [--seed N] [--snapshot K]
 //       Advance the store through K churn epochs and print the pin-rotation /
 //       key-reuse table (EXPERIMENTS.md §longitudinal).
 //   pinscope help
+//
+// `study`, `tables` and `autopsy` share one run path: RunContext attaches
+// the observer, journal, telemetry and timeline, and EmitArtifacts writes
+// every artifact flag (--json, --csv, --metrics-out, --trace-out,
+// --log-out, --report-out, --perf-report-out, --folded-out) the same way.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -47,17 +55,6 @@ namespace {
 
 using namespace pinscope;
 using cli::CliOptions;
-
-core::StudyOptions StudyOptionsFor(const CliOptions& opts,
-                                   obs::Observer* observer) {
-  core::StudyOptions sopts;
-  sopts.threads = opts.threads;
-  sopts.scan_cache = opts.scan_cache;
-  sopts.sim_cache = opts.sim_cache;
-  sopts.cache_dir = opts.cache_dir;
-  sopts.observer = observer;
-  return sopts;
-}
 
 /// Builds and starts the live-telemetry sampler when any live surface was
 /// requested: a progress mode, a heartbeat file, or a metrics file (which
@@ -141,6 +138,38 @@ std::unique_ptr<obs::Timeline> StartTimeline(const CliOptions& opts) {
   return std::make_unique<obs::Timeline>(topts);
 }
 
+/// Everything a study-running command attaches to its run: the observer,
+/// the decision journal (kept when --log-out or --report-out needs it), the
+/// live telemetry and the autopsy timeline, wired into `study`.
+struct RunContext {
+  explicit RunContext(const CliOptions& opts) {
+    if (!opts.log_path.empty() || !opts.report_path.empty()) {
+      log.emplace(opts.log_level);
+      observer.set_log(&*log);
+    }
+    telemetry = StartTelemetry(opts, observer);
+    timeline = StartTimeline(opts);
+    study.threads = opts.threads;
+    study.scan_cache = opts.scan_cache;
+    study.sim_cache = opts.sim_cache;
+    study.cache_dir = opts.cache_dir;
+    study.observer = &observer;
+    study.telemetry = telemetry.get();
+    study.timeline = timeline.get();
+  }
+
+  /// Ends live telemetry, so nothing it prints interleaves the results.
+  void StopTelemetry() {
+    if (telemetry != nullptr) telemetry->Stop();
+  }
+
+  obs::Observer observer;
+  std::optional<obs::EventLog> log;
+  std::unique_ptr<obs::Telemetry> telemetry;
+  std::unique_ptr<obs::Timeline> timeline;
+  core::StudyOptions study;
+};
+
 /// Resolves a timeline item key (TelemetryKey: platform rank << 48 |
 /// universe index) to platform / app-id labels against the live ecosystem.
 obs::ItemResolver ResolverFor(const store::Ecosystem& eco) {
@@ -159,19 +188,19 @@ obs::ItemResolver ResolverFor(const store::Ecosystem& eco) {
 }
 
 /// Analyzes the finished timeline and writes every requested perf surface:
-/// the autopsy Markdown to stdout when `print` is set (the `autopsy`
-/// command), --perf-report-out Markdown + JSON twin, and --folded-out
-/// collapsed stacks.
+/// the autopsy Markdown to stdout for the `autopsy` command,
+/// --perf-report-out Markdown + JSON twin, and --folded-out collapsed
+/// stacks.
 void EmitPerfArtifacts(const obs::Timeline* timeline,
                        const store::Ecosystem& eco, obs::Observer& observer,
-                       const CliOptions& opts, bool print) {
+                       const CliOptions& opts) {
   if (timeline == nullptr) return;
   const obs::MetricsSnapshot snapshot = observer.metrics().Snapshot();
   const obs::Autopsy autopsy = obs::Analyze(*timeline, &snapshot);
   report::PerfReportInput input;
   input.autopsy = &autopsy;
   input.resolver = ResolverFor(eco);
-  if (print) std::printf("%s", report::WritePerfReportMarkdown(input).c_str());
+  if (opts.command == "autopsy") std::printf("%s", report::WritePerfReportMarkdown(input).c_str());
   if (!opts.perf_report_path.empty()) {
     {
       std::ofstream out(opts.perf_report_path);
@@ -195,10 +224,8 @@ void EmitPerfArtifacts(const obs::Timeline* timeline,
 
 /// Writes the --report-out run report (Markdown plus a JSON companion next
 /// to it) from the study's verdicts, the metrics snapshot, and the journal.
-void EmitRunReportVerdicts(const std::vector<report::AppVerdict>& verdicts,
-                           const obs::Observer& observer,
-                           const CliOptions& opts) {
-  if (opts.report_path.empty()) return;
+void EmitRunReport(const std::vector<report::AppVerdict>& verdicts,
+                   const obs::Observer& observer, const CliOptions& opts) {
   const obs::MetricsSnapshot snapshot = observer.metrics().Snapshot();
   std::vector<obs::LogEvent> events;
   if (observer.log() != nullptr) events = observer.log()->SortedEvents();
@@ -219,10 +246,43 @@ void EmitRunReportVerdicts(const std::vector<report::AppVerdict>& verdicts,
               json_path.c_str());
 }
 
-void EmitRunReport(const core::Study& study, const obs::Observer& observer,
-                   const CliOptions& opts) {
-  if (opts.report_path.empty()) return;
-  EmitRunReportVerdicts(core::CollectAppVerdicts(study), observer, opts);
+/// Writes one export file and reports how many records it holds (for CSV,
+/// the rows after the header).
+void WriteExport(const std::string& path, const std::string& text,
+                 const char* what, bool header) {
+  std::size_t records = 0;
+  for (const char c : text) {
+    if (c == '\n') ++records;
+  }
+  if (header && records > 0) --records;
+  std::ofstream out(path);
+  out << text;
+  std::printf("wrote %zu %s to %s\n", records, what, path.c_str());
+}
+
+/// A finished run's results as the artifact writers read them. Each is
+/// produced only when a flag asks for it.
+struct RunResults {
+  std::function<std::string()> json;
+  std::function<std::string()> csv;
+  std::function<std::vector<report::AppVerdict>()> verdicts;
+};
+
+/// Writes every artifact the command line asked for, the same way for
+/// every command that runs a study.
+void EmitArtifacts(RunContext& run, const store::Ecosystem& eco,
+                   const RunResults& results, const CliOptions& opts) {
+  EmitObservability(run.observer, opts);
+  if (!opts.report_path.empty()) {
+    EmitRunReport(results.verdicts(), run.observer, opts);
+  }
+  EmitPerfArtifacts(run.timeline.get(), eco, run.observer, opts);
+  if (!opts.json_path.empty()) {
+    WriteExport(opts.json_path, results.json(), "JSON records", false);
+  }
+  if (!opts.csv_path.empty()) {
+    WriteExport(opts.csv_path, results.csv(), "CSV rows", true);
+  }
 }
 
 void PrintChurn(const store::SnapshotChurn& c) {
@@ -255,7 +315,8 @@ int Usage() {
       "  longitudinal        advance the store through churn epochs and print\n"
       "                      the pin-rotation / key-reuse table\n"
       "  help                this text\n\n"
-      "options:\n"
+      "options (study, tables and autopsy take every one; the other commands\n"
+      "take --scale and --seed, and longitudinal --snapshot):\n"
       "  --scale S           corpus scale, 0 < S <= 1 (default 0.1)\n"
       "  --seed N            generation seed (default 42)\n"
       "  --threads T         study worker threads; 0 = all hardware threads\n"
@@ -267,10 +328,10 @@ int Usage() {
       "                      proxy CA, forged-leaf cache, root stores, and a\n"
       "                      chain-validation memo (default on; results are\n"
       "                      byte-identical either way)\n"
-      "  --json FILE         (study) export per-app records as JSON Lines\n"
-      "  --csv FILE          (study) export per-destination rows as CSV\n"
-      "  --metrics-out FILE  (study/tables) write pipeline metrics — counters,\n"
-      "                      cache hit-rate gauges, per-phase histograms — as\n"
+      "  --json FILE         export per-app records as JSON Lines\n"
+      "  --csv FILE          export per-destination rows as CSV\n"
+      "  --metrics-out FILE  write pipeline metrics — counters, cache\n"
+      "                      hit-rate gauges, per-phase histograms — as\n"
       "                      JSON, or as OpenMetrics/Prometheus text format\n"
       "                      when FILE ends in .prom (see DESIGN.md §11).\n"
       "                      With live telemetry the file is atomically\n"
@@ -284,17 +345,17 @@ int Usage() {
       "                      in-flight chains, and per-phase p50/p90/p99 (µs)\n"
       "  --telemetry-interval-ms N  telemetry sampler tick period\n"
       "                      (default 250)\n"
-      "  --trace-out FILE    (study/tables) write a Chrome trace_event JSON of\n"
-      "                      study/app/phase spans; open in chrome://tracing\n"
-      "                      or https://ui.perfetto.dev\n"
-      "  --log-out FILE      (study/tables) write the deterministic decision\n"
-      "                      journal as JSON Lines; byte-identical for every\n"
-      "                      --threads value (see DESIGN.md §12)\n"
+      "  --trace-out FILE    write a Chrome trace_event JSON of study/app/phase\n"
+      "                      spans; open in chrome://tracing or\n"
+      "                      https://ui.perfetto.dev\n"
+      "  --log-out FILE      write the deterministic decision journal as JSON\n"
+      "                      Lines; byte-identical for every --threads value\n"
+      "                      (see DESIGN.md §12)\n"
       "  --log-level LEVEL   journal severity floor: debug|info|decision|warn|\n"
       "                      error (default info); filtering never reorders\n"
       "                      surviving events\n"
-      "  --report-out FILE   (study/tables) write a Markdown run report with a\n"
-      "                      per-app verdict-attribution table (a .json twin is\n"
+      "  --report-out FILE   write a Markdown run report with a per-app\n"
+      "                      verdict-attribution table (a .json twin is\n"
       "                      written next to it)\n"
       "  --summary=on|off    end-of-run cache/phase/counter summary table\n"
       "                      (default on)\n"
@@ -303,23 +364,23 @@ int Usage() {
       "                      run (warm start). Missing or corrupt cache files\n"
       "                      mean a cold start, never an error; results are\n"
       "                      byte-identical warm or cold (DESIGN.md §15)\n"
-      "  --snapshot N        (study/longitudinal) advance the generated store\n"
-      "                      through N deterministic churn epochs — leaf\n"
-      "                      renewals, app updates, pin rotations — before\n"
-      "                      analyzing (default 0 = as generated; longitudinal\n"
-      "                      defaults to 6 epochs)\n"
-      "  --incremental=on|off with --snapshot N: analyze only the apps the\n"
-      "                      final churn epoch changed and merge over the\n"
+      "  --snapshot N        advance the generated store through N\n"
+      "                      deterministic churn epochs — leaf renewals, app\n"
+      "                      updates, pin rotations — before analyzing\n"
+      "                      (default 0 = as generated; longitudinal defaults\n"
+      "                      to 6 epochs)\n"
+      "  --incremental=on|off study with --snapshot N: analyze only the apps\n"
+      "                      the final churn epoch changed and merge over the\n"
       "                      previous snapshot's results; merged exports are\n"
-      "                      byte-identical to a full re-analysis (default\n"
-      "                      off)\n"
-      "  --perf-report-out FILE  (study/autopsy) write the run autopsy as\n"
-      "                      Markdown, with a .json twin next to it; attaches\n"
+      "                      byte-identical to a full re-analysis, and the\n"
+      "                      timeline profiles the re-analysis (default off)\n"
+      "  --perf-report-out FILE  write the run autopsy as Markdown, with a\n"
+      "                      .json twin next to it; attaches\n"
       "                      the interval timeline to the run (exports stay\n"
       "                      byte-identical — DESIGN.md §17)\n"
-      "  --folded-out FILE   (study/autopsy) write collapsed stacks\n"
-      "                      ('platform;app;stage weight_us' lines) for\n"
-      "                      flamegraph.pl or speedscope\n"
+      "  --folded-out FILE   write collapsed stacks ('platform;app;stage\n"
+      "                      weight_us' lines) for flamegraph.pl or\n"
+      "                      speedscope\n"
       "  --timeline-cap N    per-worker interval-reservoir capacity (default\n"
       "                      8192); timeline memory is O(workers x N) at any\n"
       "                      corpus size\n");
@@ -350,62 +411,33 @@ int CmdGenerate(const CliOptions& opts) {
   return 0;
 }
 
-void ExportJson(const core::Study& study, const std::string& path) {
-  const std::string lines = core::ExportStudyJson(study);
-  std::size_t records = 0;
-  for (const char c : lines) {
-    if (c == '\n') ++records;
-  }
-  std::ofstream out(path);
-  out << lines;
-  std::printf("wrote %zu JSON records to %s\n", records, path.c_str());
-}
-
-void ExportCsv(const core::Study& study, const std::string& path) {
-  const std::string csv = core::ExportStudyCsv(study);
-  std::size_t rows = 0;
-  for (const char c : csv) {
-    if (c == '\n') ++rows;
-  }
-  if (rows > 0) --rows;  // the header row
-  std::ofstream out(path);
-  out << csv;
-  std::printf("wrote %zu CSV rows to %s\n", rows, path.c_str());
-}
-
 /// `study --incremental on --snapshot N`: full streaming baseline at
 /// snapshot N-1, one more churn epoch, then re-analysis of only the apps
 /// that epoch changed, merged over the baseline rows. The merged exports are
 /// byte-identical to a full re-analysis of the same snapshot
-/// (tests/core/stream_equivalence_test.cc proves it).
+/// (tests/core/stream_equivalence_test.cc proves it). The timeline, if any,
+/// profiles the re-analysis.
 int CmdStudyIncremental(const CliOptions& opts) {
   store::Ecosystem eco = Generate(opts);
   ApplySnapshots(eco, opts.snapshots - 1);
 
-  obs::Observer observer;
-  std::optional<obs::EventLog> log;
-  if (!opts.log_path.empty() || !opts.report_path.empty()) {
-    log.emplace(opts.log_level);
-    observer.set_log(&*log);
-  }
-  core::StudyOptions sopts = StudyOptionsFor(opts, &observer);
-  const std::unique_ptr<obs::Telemetry> telemetry =
-      StartTelemetry(opts, observer);
-  sopts.telemetry = telemetry.get();
+  RunContext run(opts);
   const core::EcosystemCorpusSource source(eco);
-
   std::fprintf(stderr, "[pinscope] streaming baseline at snapshot %d\n",
                eco.snapshot());
+  core::StudyOptions base_opts = run.study;
+  base_opts.timeline = nullptr;
   core::StreamExporter baseline;
   const core::StreamStudyResult base_run =
-      core::RunStreamingStudy(source, sopts, baseline);
+      core::RunStreamingStudy(source, base_opts, baseline);
 
   const store::SnapshotChurn churn = eco.AdvanceSnapshot();
   PrintChurn(churn);
 
   const std::set<std::pair<appmodel::Platform, std::size_t>> changed(
       churn.changed_apps.begin(), churn.changed_apps.end());
-  sopts.app_filter = [&changed](appmodel::Platform p, std::size_t idx) {
+  core::StudyOptions delta_opts = run.study;
+  delta_opts.app_filter = [&changed](appmodel::Platform p, std::size_t idx) {
     return changed.contains({p, idx});
   };
   std::fprintf(stderr,
@@ -414,51 +446,24 @@ int CmdStudyIncremental(const CliOptions& opts) {
                changed.size(), eco.snapshot());
   core::StreamExporter merged;
   const core::StreamStudyResult delta_run =
-      core::RunStreamingStudy(source, sopts, merged);
+      core::RunStreamingStudy(source, delta_opts, merged);
   merged.MergeBase(baseline);
+  run.StopTelemetry();
 
   const std::vector<report::AppVerdict> verdicts = merged.FinishVerdicts();
   std::printf("incremental study: baseline %zu apps, re-analyzed %zu changed "
               "apps, merged %zu results at snapshot %d\n",
               base_run.apps, delta_run.apps, verdicts.size(), eco.snapshot());
-
-  if (telemetry != nullptr) telemetry->Stop();
-  EmitObservability(observer, opts);
-  EmitRunReportVerdicts(verdicts, observer, opts);
-  if (!opts.json_path.empty()) {
-    std::ofstream out(opts.json_path);
-    out << merged.FinishJson();
-    std::printf("wrote merged JSON records to %s\n", opts.json_path.c_str());
-  }
-  if (!opts.csv_path.empty()) {
-    std::ofstream out(opts.csv_path);
-    out << merged.FinishCsv();
-    std::printf("wrote merged CSV rows to %s\n", opts.csv_path.c_str());
-  }
+  EmitArtifacts(run, eco,
+                {.json = [&merged] { return merged.FinishJson(); },
+                 .csv = [&merged] { return merged.FinishCsv(); },
+                 .verdicts = [&verdicts] { return verdicts; }},
+                opts);
   return 0;
 }
 
-int CmdStudy(const CliOptions& opts) {
-  if (opts.incremental && opts.snapshots > 0) return CmdStudyIncremental(opts);
-  store::Ecosystem eco = Generate(opts);
-  ApplySnapshots(eco, opts.snapshots);
-  obs::Observer observer;
-  std::optional<obs::EventLog> log;
-  if (!opts.log_path.empty() || !opts.report_path.empty()) {
-    log.emplace(opts.log_level);
-    observer.set_log(&*log);
-  }
-  core::StudyOptions sopts = StudyOptionsFor(opts, &observer);
-  const std::unique_ptr<obs::Telemetry> telemetry =
-      StartTelemetry(opts, observer);
-  sopts.telemetry = telemetry.get();
-  const std::unique_ptr<obs::Timeline> timeline = StartTimeline(opts);
-  sopts.timeline = timeline.get();
-  core::Study study(eco, sopts);
-  std::fprintf(stderr, "[pinscope] running measurement pipeline\n");
-  study.Run();
-  if (telemetry != nullptr) telemetry->Stop();
-
+/// Prints the Table-3-style prevalence table `study` ends with.
+void PrintPrevalence(const core::Study& study) {
   report::TextTable table;
   table.SetHeader({"Dataset", "Platform", "Apps", "Dynamic pinning",
                    "Static potential", "NSC pinning"});
@@ -480,38 +485,65 @@ int CmdStudy(const CliOptions& opts) {
     }
   }
   std::printf("%s", table.Render().c_str());
+}
 
-  // Cache hit-rates, phase timings, and pipeline counters all come from the
-  // unified registry now (the caches publish gauges when Run() finishes).
-  EmitObservability(observer, opts);
-  EmitRunReport(study, observer, opts);
-  EmitPerfArtifacts(timeline.get(), eco, observer, opts, /*print=*/false);
+/// Prints every paper table `tables` shows.
+void PrintPaperTables(const core::Study& study) {
+  std::printf("%s", report::SectionHeader("Prevalence (Table 3)").c_str());
+  for (const store::DatasetId id : store::AllDatasets()) {
+    for (const appmodel::Platform p :
+         {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
+      const auto row = core::ComputePrevalence(study, id, p);
+      std::printf("  %-7s %-7s dyn %3d  static %3d  nsc %3d  (n=%d)\n",
+                  store::DatasetName(id).data(), PlatformName(p).data(),
+                  row.dynamic_pinning, row.embedded_static, row.config_pinning,
+                  row.total);
+    }
+  }
 
-  if (!opts.json_path.empty()) ExportJson(study, opts.json_path);
-  if (!opts.csv_path.empty()) ExportCsv(study, opts.csv_path);
+  for (const appmodel::Platform p :
+       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
+    std::printf("%s", report::SectionHeader(
+                          std::string("Pinning categories (Tables 4/5) — ") +
+                          std::string(PlatformName(p))).c_str());
+    for (const auto& row : core::ComputePinningByCategory(study, p, 5, 3)) {
+      std::printf("  %-20s %5.1f%%  (%d apps)\n", row.category.c_str(),
+                  row.pinning_pct, row.pinning_apps);
+    }
+    const auto pki = core::ComputePkiCounts(study, p);
+    std::printf("%s", report::SectionHeader(
+                          std::string("PKI (Table 6) — ") +
+                          std::string(PlatformName(p))).c_str());
+    std::printf("  default %d / custom %d / unavailable %d (self-signed %d)\n",
+                pki.default_pki, pki.custom_pki, pki.unavailable, pki.self_signed);
+  }
+}
+
+/// The run path `study`, `tables` and `autopsy` share: generate the corpus,
+/// apply the --snapshot epochs, run the study with everything RunContext
+/// attaches, print the command's tables (if any), and write the artifacts.
+/// `autopsy` prints its causal profile from EmitPerfArtifacts.
+int RunStudyCommand(const CliOptions& opts,
+                    void (*print)(const core::Study&)) {
+  store::Ecosystem eco = Generate(opts);
+  ApplySnapshots(eco, opts.snapshots);
+  RunContext run(opts);
+  core::Study study(eco, run.study);
+  std::fprintf(stderr, "[pinscope] running measurement pipeline\n");
+  study.Run();
+  run.StopTelemetry();
+  if (print != nullptr) print(study);
+  EmitArtifacts(run, eco,
+                {.json = [&study] { return core::ExportStudyJson(study); },
+                 .csv = [&study] { return core::ExportStudyCsv(study); },
+                 .verdicts = [&study] { return core::CollectAppVerdicts(study); }},
+                opts);
   return 0;
 }
 
-/// `pinscope autopsy`: run the study with the interval timeline attached and
-/// print the causal profile — critical path, per-worker idle attribution,
-/// slowest apps, contended locks — instead of the paper tables. The same
-/// artifact flags as `study` (--perf-report-out, --folded-out) also work.
-int CmdAutopsy(const CliOptions& opts) {
-  store::Ecosystem eco = Generate(opts);
-  ApplySnapshots(eco, opts.snapshots);
-  obs::Observer observer;
-  core::StudyOptions sopts = StudyOptionsFor(opts, &observer);
-  const std::unique_ptr<obs::Telemetry> telemetry =
-      StartTelemetry(opts, observer);
-  sopts.telemetry = telemetry.get();
-  const std::unique_ptr<obs::Timeline> timeline = StartTimeline(opts);
-  sopts.timeline = timeline.get();
-  core::Study study(eco, sopts);
-  std::fprintf(stderr, "[pinscope] running measurement pipeline (autopsy)\n");
-  study.Run();
-  if (telemetry != nullptr) telemetry->Stop();
-  EmitPerfArtifacts(timeline.get(), eco, observer, opts, /*print=*/true);
-  return 0;
+int CmdStudy(const CliOptions& opts) {
+  if (opts.incremental && opts.snapshots > 0) return CmdStudyIncremental(opts);
+  return RunStudyCommand(opts, PrintPrevalence);
 }
 
 int CmdAudit(const CliOptions& opts) {
@@ -558,55 +590,6 @@ int CmdAudit(const CliOptions& opts) {
   return 0;
 }
 
-int CmdTables(const CliOptions& opts) {
-  const store::Ecosystem eco = Generate(opts);
-  obs::Observer observer;
-  std::optional<obs::EventLog> log;
-  if (!opts.log_path.empty() || !opts.report_path.empty()) {
-    log.emplace(opts.log_level);
-    observer.set_log(&*log);
-  }
-  core::StudyOptions sopts = StudyOptionsFor(opts, &observer);
-  const std::unique_ptr<obs::Telemetry> telemetry =
-      StartTelemetry(opts, observer);
-  sopts.telemetry = telemetry.get();
-  core::Study study(eco, sopts);
-  study.Run();
-  if (telemetry != nullptr) telemetry->Stop();
-
-  std::printf("%s", report::SectionHeader("Prevalence (Table 3)").c_str());
-  for (const store::DatasetId id : store::AllDatasets()) {
-    for (const appmodel::Platform p :
-         {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-      const auto row = core::ComputePrevalence(study, id, p);
-      std::printf("  %-7s %-7s dyn %3d  static %3d  nsc %3d  (n=%d)\n",
-                  store::DatasetName(id).data(), PlatformName(p).data(),
-                  row.dynamic_pinning, row.embedded_static, row.config_pinning,
-                  row.total);
-    }
-  }
-
-  for (const appmodel::Platform p :
-       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-    std::printf("%s", report::SectionHeader(
-                          std::string("Pinning categories (Tables 4/5) — ") +
-                          std::string(PlatformName(p))).c_str());
-    for (const auto& row : core::ComputePinningByCategory(study, p, 5, 3)) {
-      std::printf("  %-20s %5.1f%%  (%d apps)\n", row.category.c_str(),
-                  row.pinning_pct, row.pinning_apps);
-    }
-    const auto pki = core::ComputePkiCounts(study, p);
-    std::printf("%s", report::SectionHeader(
-                          std::string("PKI (Table 6) — ") +
-                          std::string(PlatformName(p))).c_str());
-    std::printf("  default %d / custom %d / unavailable %d (self-signed %d)\n",
-                pki.default_pki, pki.custom_pki, pki.unavailable, pki.self_signed);
-  }
-  EmitObservability(observer, opts);
-  EmitRunReport(study, observer, opts);
-  return 0;
-}
-
 /// Prints the longitudinal churn table (Markdown, ready for EXPERIMENTS.md):
 /// one row per snapshot epoch of leaf renewals, key reuse, app updates, pin
 /// rotations, and the resulting stale-pin census.
@@ -637,8 +620,10 @@ int main(int argc, char** argv) {
     if (opts->command == "generate") return CmdGenerate(*opts);
     if (opts->command == "study") return CmdStudy(*opts);
     if (opts->command == "audit") return CmdAudit(*opts);
-    if (opts->command == "tables") return CmdTables(*opts);
-    if (opts->command == "autopsy") return CmdAutopsy(*opts);
+    if (opts->command == "tables") {
+      return RunStudyCommand(*opts, PrintPaperTables);
+    }
+    if (opts->command == "autopsy") return RunStudyCommand(*opts, nullptr);
     if (opts->command == "longitudinal") return CmdLongitudinal(*opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
