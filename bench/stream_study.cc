@@ -159,12 +159,11 @@ int main() {
              static_cast<int>(std::max(2u, std::thread::hardware_concurrency())));
 
   // --- Claim 1: flat peak RSS, small corpus first (VmHWM is monotone). ----
-  // Bounded tracing: the registry is fixed-size, but an unbounded trace
-  // sink retains every per-app span — linear in corpus size, which is
-  // exactly what this claim forbids. Capping the sink keeps the head of the
-  // run inspectable while dropped spans are counted, not silently lost.
+  // No tracing: the registry is fixed-size, but a trace sink retains every
+  // per-app span — linear in corpus size, which is exactly what this claim
+  // forbids.
   obs::Observer observer;
-  observer.trace().set_max_events(std::size_t{1} << 14);
+  observer.trace().set_enabled(false);
   std::fprintf(stderr, "[pinscope] streaming %zu apps (%d workers)...\n",
                small_apps, workers);
   const double small_ms = TimedStream(small_apps, workers, &observer);
@@ -209,8 +208,8 @@ int main() {
   // and the claim holds only when the upper quartile is within 2%. The
   // per-interval record cost is timed on its own as well, so the constant
   // itself stays gated. The analyzed autopsy of the last instrumented pass
-  // rides along as evidence the bounded reservoir still reconstructs a
-  // critical path at this scale.
+  // rides along: its critical path and unattributed residual come from the
+  // exact per-worker totals, so the bounded reservoir does not shrink them.
   constexpr double kAutopsyMinRunMs = 300.0;
   std::size_t autopsy_apps = static_cast<std::size_t>(
       EnvInt("PINSCOPE_BENCH_STREAM_AUTOPSY", 16000));
@@ -250,19 +249,30 @@ int main() {
   const double overhead_q3 = Quantile(overhead_pct, 0.75);
   const obs::Autopsy autopsy = obs::Analyze(*autopsy_timeline);
   const double record_ns_per_interval = RecordCostNsPerInterval(5);
-  // The path length/weight over a *sampled* reservoir varies run to run
-  // (which intervals survive sampling decides where the walk can reach),
-  // so the JSON reports the unitless share of wall — informational, never
-  // a gate — while the absolute numbers go to stderr for the operator.
+  // The critical path is the stage time of the worker that finished last,
+  // so its share of wall is that worker's busy share (informational, never
+  // a gate). The unattributed share is every worker's `other` time over
+  // wall x workers; the absolute numbers go to stderr for the operator.
   const double critical_path_share =
       autopsy.wall_us > 0.0 ? autopsy.critical_path_us / autopsy.wall_us : 0.0;
+  double other_us = 0.0;
+  for (const obs::WorkerBreakdown& row : autopsy.worker_breakdown) {
+    other_us += row.other_us;
+  }
+  const double worker_wall_us =
+      autopsy.wall_us * static_cast<double>(autopsy.worker_breakdown.size());
+  const double unattributed_pct =
+      worker_wall_us > 0.0 ? 100.0 * other_us / worker_wall_us : 0.0;
   std::fprintf(stderr,
                "[pinscope] autopsy: off %.0f ms, on %.0f ms (median), "
                "overhead %+.2f%% (IQR %+.2f%% .. %+.2f%%), %.0f ns/interval, "
-               "critical path %zu segments / %.0f us\n",
+               "critical path %llu stages (%zu sampled) / %.0f us, "
+               "unattributed %.2f%%\n",
                autopsy_base_ms, autopsy_timeline_ms, overhead_median,
-               overhead_q1, overhead_q3, record_ns_per_interval, autopsy.critical_path.size(),
-               autopsy.critical_path_us);
+               overhead_q1, overhead_q3, record_ns_per_interval,
+               static_cast<unsigned long long>(autopsy.critical_path_stages),
+               autopsy.critical_path.size(), autopsy.critical_path_us,
+               unattributed_pct);
 
   // --- Claim 2: warm start from persisted caches. -------------------------
   core::SyntheticCorpusConfig warm_config;
@@ -325,14 +335,6 @@ int main() {
                "byte-identical\n",
                cold_ms, warm_ms, warm_speedup);
 
-  if (const std::size_t trace_dropped = observer.trace().DroppedCount();
-      trace_dropped > 0) {
-    std::fprintf(stderr,
-                 "[pinscope] trace buffer full: %zu span(s) dropped beyond "
-                 "the %zu-event cap (counted, not silent)\n",
-                 trace_dropped, observer.trace().max_events());
-  }
-
   char json[4096];
   std::snprintf(
       json, sizeof(json),
@@ -355,8 +357,10 @@ int main() {
       "              \"overhead_q3_pct\": %.2f, \"overhead_iqr_pct\": %.2f,\n"
       "              \"within_2pct\": %s,\n"
       "              \"record_cost_ns_per_interval\": %.1f,\n"
+      "              \"critical_path_stages\": %llu,\n"
       "              \"critical_path_segments\": %zu,\n"
       "              \"critical_path_share\": %.3f,\n"
+      "              \"unattributed_pct\": %.3f,\n"
       "              \"intervals_seen\": %llu, \"intervals_sampled\": %llu,\n"
       "              \"reservoir_bytes\": %zu},\n",
       workers, small_apps, small_ms,
@@ -368,7 +372,8 @@ int main() {
       autopsy_apps, autopsy_pairs, autopsy_base_ms, autopsy_timeline_ms,
       overhead_median, overhead_q1, overhead_q3, overhead_q3 - overhead_q1,
       overhead_q3 <= 2.0 ? "true" : "false", record_ns_per_interval,
-      autopsy.critical_path.size(), critical_path_share,
+      static_cast<unsigned long long>(autopsy.critical_path_stages),
+      autopsy.critical_path.size(), critical_path_share, unattributed_pct,
       static_cast<unsigned long long>(autopsy.intervals_seen),
       static_cast<unsigned long long>(autopsy.intervals_sampled),
       autopsy_timeline->ReservoirCapacityBytes());

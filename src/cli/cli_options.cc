@@ -148,15 +148,6 @@ std::optional<CliOptions> ParseArgs(int argc, const char* const* argv) {
       if (!ok) return std::nullopt;
     } else if (TakeValue(arg, "--folded-out", cursor, opts.folded_path, ok)) {
       if (!ok) return std::nullopt;
-    } else if (TakeValue(arg, "--timeline-cap", cursor, value, ok)) {
-      if (!ok) return std::nullopt;
-      opts.timeline_cap = std::atoi(value.c_str());
-      if (opts.timeline_cap <= 0) {
-        std::fprintf(stderr,
-                     "--timeline-cap expects a positive integer, got '%s'\n",
-                     value.c_str());
-        return std::nullopt;
-      }
     } else if (TakeValue(arg, "--log-level", cursor, value, ok)) {
       if (!ok) return std::nullopt;
       const auto severity = obs::ParseSeverity(value);

@@ -58,9 +58,6 @@ struct CliOptions {
   /// --folded-out: collapsed-stack lines (`platform;app;stage weight_us`)
   /// for flamegraph.pl / speedscope, from the same timeline.
   std::string folded_path;
-  /// --timeline-cap: per-worker interval-reservoir capacity (positive).
-  /// Memory is O(workers × cap) regardless of corpus size.
-  int timeline_cap = 8192;
 };
 
 /// Parses `argv` (argv[0] is the program name, argv[1] the command).

@@ -10,108 +10,30 @@ namespace pinscope::obs {
 
 namespace {
 
-/// All sampled stage intervals, globally indexed, plus per-worker and
-/// per-item views for predecessor lookup.
-struct StageGraph {
-  std::vector<TimelineInterval> intervals;  ///< kStage only.
-  /// Indices into `intervals` per worker, sorted by end_us ascending.
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>> by_worker;
-  /// Indices into `intervals` per item key, sorted by end_us ascending.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_key;
-};
-
-StageGraph BuildStageGraph(const Timeline& timeline) {
-  StageGraph graph;
+/// Fills the critical path: the lane whose last stage ended latest (ties
+/// go to the lower worker id). Its exact totals give the path's length and
+/// stage count; its sampled stage intervals, in run order, the segments.
+void FillCriticalPath(const Timeline& timeline, Autopsy& autopsy) {
+  std::size_t lane = 0;
+  TimelineWorkerTotals critical;
   for (std::size_t w = 0; w < timeline.WorkerCount(); ++w) {
-    for (const TimelineInterval& interval : timeline.SamplesFor(w)) {
-      if (interval.kind != IntervalKind::kStage) continue;
-      graph.intervals.push_back(interval);
+    const TimelineWorkerTotals totals = timeline.TotalsFor(w);
+    if (totals.stage_count == 0) continue;
+    if (critical.stage_count == 0 ||
+        totals.last_stage_end_us > critical.last_stage_end_us) {
+      lane = w;
+      critical = totals;
     }
   }
-  for (std::size_t i = 0; i < graph.intervals.size(); ++i) {
-    graph.by_worker[graph.intervals[i].worker].push_back(i);
-    graph.by_key[graph.intervals[i].key].push_back(i);
+  if (critical.stage_count == 0) return;
+  autopsy.critical_path_us = critical.busy_us;
+  autopsy.critical_path_stages = critical.stage_count;
+  for (const TimelineInterval& interval : timeline.SamplesFor(lane)) {
+    if (interval.kind != IntervalKind::kStage) continue;
+    autopsy.critical_path.push_back(
+        {interval.key, std::string(timeline.StageName(interval.label)),
+         interval.worker, interval.start_us, interval.end_us});
   }
-  const auto by_end = [&](std::size_t a, std::size_t b) {
-    const TimelineInterval& ia = graph.intervals[a];
-    const TimelineInterval& ib = graph.intervals[b];
-    return ia.end_us != ib.end_us ? ia.end_us < ib.end_us
-                                  : ia.start_us < ib.start_us;
-  };
-  for (auto& [worker, list] : graph.by_worker) std::sort(list.begin(), list.end(), by_end);
-  for (auto& [key, list] : graph.by_key) std::sort(list.begin(), list.end(), by_end);
-  return graph;
-}
-
-/// The latest-ending interval in `list` (sorted by end) that ends at or
-/// before `start_us` and is not `self`. npos when none.
-std::size_t LatestBefore(const StageGraph& graph,
-                         const std::vector<std::size_t>& list,
-                         std::int64_t start_us, std::size_t self) {
-  std::size_t best = static_cast<std::size_t>(-1);
-  // Binary search for the last end_us <= start_us, then skip self.
-  std::size_t lo = 0, hi = list.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (graph.intervals[list[mid]].end_us <= start_us) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  for (std::size_t i = lo; i-- > 0;) {
-    if (list[i] != self) {
-      best = list[i];
-      break;
-    }
-  }
-  return best;
-}
-
-/// Walks the binding-constraint chain back from the globally last-ending
-/// stage interval: at each step the predecessor is whichever of the chain
-/// edge (same item, previous stage) and the worker edge (same worker,
-/// previous interval) finished later — the dependency that actually gated
-/// this interval's start.
-std::vector<CriticalSegment> CriticalPath(const Timeline& timeline,
-                                          const StageGraph& graph) {
-  std::vector<CriticalSegment> path;
-  if (graph.intervals.empty()) return path;
-  std::size_t cur = 0;
-  for (std::size_t i = 1; i < graph.intervals.size(); ++i) {
-    if (graph.intervals[i].end_us > graph.intervals[cur].end_us) cur = i;
-  }
-  const std::size_t npos = static_cast<std::size_t>(-1);
-  for (std::size_t steps = 0; steps <= graph.intervals.size(); ++steps) {
-    const TimelineInterval& interval = graph.intervals[cur];
-    CriticalSegment segment;
-    segment.key = interval.key;
-    segment.stage = std::string(timeline.StageName(interval.label));
-    segment.worker = interval.worker;
-    segment.start_us = interval.start_us;
-    segment.end_us = interval.end_us;
-    path.push_back(std::move(segment));
-
-    const std::size_t chain_pred = LatestBefore(
-        graph, graph.by_key.at(interval.key), interval.start_us, cur);
-    const std::size_t worker_pred = LatestBefore(
-        graph, graph.by_worker.at(interval.worker), interval.start_us, cur);
-    std::size_t next = npos;
-    if (chain_pred != npos && worker_pred != npos) {
-      next = graph.intervals[chain_pred].end_us >=
-                     graph.intervals[worker_pred].end_us
-                 ? chain_pred
-                 : worker_pred;
-    } else if (chain_pred != npos) {
-      next = chain_pred;
-    } else if (worker_pred != npos) {
-      next = worker_pred;
-    }
-    if (next == npos) break;
-    cur = next;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 std::vector<WorkerBreakdown> BreakdownWorkers(const Timeline& timeline,
@@ -125,8 +47,6 @@ std::vector<WorkerBreakdown> BreakdownWorkers(const Timeline& timeline,
     // Stage time includes any in-stage lock waits; moving them to their own
     // bucket keeps the rows a partition of the wall clock.
     row.busy_us = std::max(0.0, totals.busy_us - totals.lock_wait_us);
-    row.queue_starved_us = totals.queue_starved_us;
-    row.backpressure_us = totals.backpressure_us;
     row.lock_wait_us = totals.lock_wait_us;
     row.tail_join_us = totals.tail_join_us;
     row.ramp_up_us = totals.ramp_up_us;
@@ -137,19 +57,20 @@ std::vector<WorkerBreakdown> BreakdownWorkers(const Timeline& timeline,
   return out;
 }
 
-std::vector<SlowItem> SlowestItems(const Timeline& timeline,
-                                   const StageGraph& graph,
-                                   std::size_t top_k) {
+std::vector<SlowItem> SlowestItems(const Timeline& timeline) {
   struct Acc {
     double total_us = 0;
     std::map<std::uint32_t, double> by_label;
   };
   std::unordered_map<std::uint64_t, Acc> acc;
-  for (const TimelineInterval& interval : graph.intervals) {
-    Acc& a = acc[interval.key];
-    const double us = static_cast<double>(interval.duration_us());
-    a.total_us += us;
-    a.by_label[interval.label] += us;
+  for (std::size_t w = 0; w < timeline.WorkerCount(); ++w) {
+    for (const TimelineInterval& interval : timeline.SamplesFor(w)) {
+      if (interval.kind != IntervalKind::kStage) continue;
+      Acc& a = acc[interval.key];
+      const double us = static_cast<double>(interval.duration_us());
+      a.total_us += us;
+      a.by_label[interval.label] += us;
+    }
   }
   std::vector<SlowItem> out;
   out.reserve(acc.size());
@@ -165,7 +86,7 @@ std::vector<SlowItem> SlowestItems(const Timeline& timeline,
   std::sort(out.begin(), out.end(), [](const SlowItem& a, const SlowItem& b) {
     return a.total_us != b.total_us ? a.total_us > b.total_us : a.key < b.key;
   });
-  if (out.size() > top_k) out.resize(top_k);
+  if (out.size() > kAutopsyTopK) out.resize(kAutopsyTopK);
   return out;
 }
 
@@ -200,8 +121,7 @@ std::vector<LockProfile> JoinLocks(const MetricsSnapshot* metrics) {
 
 }  // namespace
 
-Autopsy Analyze(const Timeline& timeline, const MetricsSnapshot* metrics,
-                const AutopsyOptions& options) {
+Autopsy Analyze(const Timeline& timeline, const MetricsSnapshot* metrics) {
   Autopsy autopsy;
   const std::int64_t start = timeline.RunStartUs();
   const std::int64_t end = timeline.RunEndUs();
@@ -212,13 +132,9 @@ Autopsy Analyze(const Timeline& timeline, const MetricsSnapshot* metrics,
   autopsy.sampled = autopsy.intervals_seen >
                     static_cast<std::uint64_t>(autopsy.intervals_sampled);
 
-  const StageGraph graph = BuildStageGraph(timeline);
-  autopsy.critical_path = CriticalPath(timeline, graph);
-  for (const CriticalSegment& segment : autopsy.critical_path) {
-    autopsy.critical_path_us += static_cast<double>(segment.duration_us());
-  }
+  FillCriticalPath(timeline, autopsy);
   autopsy.worker_breakdown = BreakdownWorkers(timeline, autopsy.wall_us);
-  autopsy.slowest = SlowestItems(timeline, graph, options.top_k);
+  autopsy.slowest = SlowestItems(timeline);
   autopsy.locks = JoinLocks(metrics);
   return autopsy;
 }

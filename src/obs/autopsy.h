@@ -2,16 +2,16 @@
 //
 // The autopsy answers "why was this run slow?" from a finished Timeline:
 //
-//  * Critical path — the longest dependency-respecting chain of stage
-//    intervals. Two dependency kinds exist on the pipelined scheduler:
-//    chain edges (stage k+1 of an item needs stage k of the same item) and
-//    worker edges (an interval needs its worker to be free). Walking back
-//    from the last-ending interval and always following whichever
-//    predecessor finished *later* (the binding constraint) yields the
-//    app+stage segments whose durations sum to ≈ wall-clock.
-//  * Idle attribution — per worker, where non-busy time went: queue-starved
-//    / backpressure / lock-wait / tail-join / ramp-up (exact accumulator
-//    buckets, never sampled), plus the unattributed residual.
+//  * Critical path — the chain of stage intervals that gated the wall
+//    clock. The run-to-completion scheduler (util/pipeline_scheduler.h)
+//    runs every chain start to finish on one worker and no worker waits on
+//    another, so the run ends when the worker whose last stage ended latest
+//    runs out of work: that worker's lane is the critical path. The lane is
+//    picked, and the path's length taken, from the exact per-lane totals,
+//    so neither depends on how the interval reservoir sampled.
+//  * Idle attribution — per worker, where non-busy time went: lock-wait /
+//    tail-join / ramp-up (exact accumulator buckets, never sampled), plus
+//    the unattributed residual.
 //  * Folded stacks — `platform;app;stage weight_us` lines for standard
 //    flamegraph tooling (--folded-out).
 //
@@ -54,7 +54,9 @@ struct CriticalSegment {
 
 /// Where one worker's wall-clock went, all in microseconds. busy excludes
 /// the lock waits recorded inside stages so the buckets partition the wall
-/// (lock_wait counts them once, on their own row).
+/// (lock_wait counts them once, on their own row). queue_starved and
+/// backpressure are always 0: the scheduler has no queue to starve on or
+/// push back from, and the fields remain only for existing readers.
 struct WorkerBreakdown {
   std::uint32_t worker = 0;
   double busy_us = 0;
@@ -67,8 +69,7 @@ struct WorkerBreakdown {
   std::uint64_t stage_count = 0;
 
   [[nodiscard]] double attributed_us() const {
-    return busy_us + queue_starved_us + backpressure_us + lock_wait_us +
-           tail_join_us + ramp_up_us;
+    return busy_us + lock_wait_us + tail_join_us + ramp_up_us;
   }
 };
 
@@ -88,13 +89,13 @@ struct SlowItem {
   std::vector<std::pair<std::string, double>> stages;
 };
 
-struct AutopsyOptions {
-  std::size_t top_k = 10;  ///< Critical-path segments / slow items reported.
-};
+/// Critical-path segments and slow items the reports list.
+inline constexpr std::size_t kAutopsyTopK = 10;
 
 /// The full post-mortem. `sampled` warns that interval-derived sections
-/// (critical path, slow items, folded stacks) saw a uniform sample, not
-/// every interval; the per-worker buckets are exact regardless.
+/// (critical-path segments, slow items, folded stacks) saw a uniform
+/// sample, not every interval; the critical path's length and the
+/// per-worker buckets are exact regardless.
 struct Autopsy {
   double wall_us = 0;
   std::size_t workers = 0;
@@ -102,8 +103,15 @@ struct Autopsy {
   std::size_t intervals_sampled = 0;
   bool sampled = false;
 
-  std::vector<CriticalSegment> critical_path;  ///< Run order (first → last).
-  double critical_path_us = 0;                 ///< Sum of segment durations.
+  /// The critical lane's sampled stage intervals, in run order.
+  std::vector<CriticalSegment> critical_path;
+  /// The critical lane's exact stage time (its TimelineWorkerTotals
+  /// busy_us, in-stage lock waits included): the sum of every segment's
+  /// duration, sampled or not.
+  double critical_path_us = 0;
+  /// The critical lane's exact stage count; critical_path holds all of
+  /// them unless the lane was sampled.
+  std::uint64_t critical_path_stages = 0;
 
   std::vector<WorkerBreakdown> worker_breakdown;  ///< By worker id.
   std::vector<SlowItem> slowest;                  ///< Descending total_us.
@@ -114,8 +122,7 @@ struct Autopsy {
 /// `lock.*` families for the contention table. Thread-compatible: call
 /// after the run's workers have quiesced.
 [[nodiscard]] Autopsy Analyze(const Timeline& timeline,
-                              const MetricsSnapshot* metrics = nullptr,
-                              const AutopsyOptions& options = {});
+                              const MetricsSnapshot* metrics = nullptr);
 
 /// Folded-stack lines (`platform;app;stage weight_us\n`, sorted) aggregated
 /// over the timeline's sampled stage intervals — feed to flamegraph.pl or

@@ -4,29 +4,9 @@
 #include <cstdio>
 #include <tuple>
 
+#include "obs/metrics.h"
+
 namespace pinscope::obs {
-
-namespace {
-
-std::string Escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string_view SeverityName(Severity s) {
   switch (s) {
@@ -50,7 +30,7 @@ std::optional<Severity> ParseSeverity(std::string_view name) {
 
 std::string LogValue::RenderJson() const {
   switch (type_) {
-    case Type::kString: return '"' + Escape(str_) + '"';
+    case Type::kString: return '"' + JsonEscape(str_) + '"';
     case Type::kInt: return std::to_string(int_);
     case Type::kUint: return std::to_string(uint_);
     case Type::kBool: return bool_ ? "true" : "false";
@@ -78,24 +58,24 @@ std::size_t EventLog::EventCount() const { return events_.Count(); }
 
 std::string EventLog::RenderJsonLine(const LogEvent& event) {
   std::string out = "{\"platform\": \"";
-  out += Escape(event.platform);
+  out += JsonEscape(event.platform);
   out += "\", \"app\": \"";
-  out += Escape(event.app_id);
+  out += JsonEscape(event.app_id);
   out += "\", \"phase\": \"";
-  out += Escape(event.phase);
+  out += JsonEscape(event.phase);
   out += "\", \"seq\": ";
   out += std::to_string(event.seq);
   out += ", \"severity\": \"";
   out += SeverityName(event.severity);
   out += "\", \"event\": \"";
-  out += Escape(event.name);
+  out += JsonEscape(event.name);
   out += '"';
   if (!event.fields.empty()) {
     out += ", \"fields\": {";
     for (std::size_t i = 0; i < event.fields.size(); ++i) {
       if (i > 0) out += ", ";
       out += '"';
-      out += Escape(event.fields[i].key);
+      out += JsonEscape(event.fields[i].key);
       out += "\": ";
       out += event.fields[i].value.RenderJson();
     }

@@ -168,6 +168,8 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -185,8 +187,6 @@ std::string JsonEscape(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string WriteMetricsJson(const MetricsSnapshot& snapshot) {
   std::string out = "{\n  \"counters\": {";

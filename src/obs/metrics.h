@@ -256,6 +256,11 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// `s` as the body of a JSON string: `"` and `\` backslash-escaped, every
+/// other control byte as `\u00XX`. The one escape the metrics, journal and
+/// trace writers share.
+[[nodiscard]] std::string JsonEscape(std::string_view s);
+
 /// Serializes a snapshot as JSON (the `--metrics-out` format): counters and
 /// gauges as name → value objects, histograms with bucket arrays and
 /// sum/min/max/mean. Deterministic given the same snapshot.

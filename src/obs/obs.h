@@ -65,7 +65,7 @@ class Observer {
 [[nodiscard]] inline Span SpanFor(
     Observer* observer, std::string name, std::string category,
     std::vector<std::pair<std::string, std::string>> args = {}) {
-  return observer == nullptr
+  return observer == nullptr || !observer->trace().enabled()
              ? Span()
              : Span(&observer->trace(), std::move(name), std::move(category),
                     std::move(args));

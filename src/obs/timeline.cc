@@ -33,10 +33,6 @@ std::string_view IntervalKindName(IntervalKind kind) {
   switch (kind) {
     case IntervalKind::kStage:
       return "stage";
-    case IntervalKind::kQueueStarved:
-      return "queue_starved";
-    case IntervalKind::kBackpressure:
-      return "backpressure";
     case IntervalKind::kLockWait:
       return "lock_wait";
     case IntervalKind::kTailJoin:
@@ -72,12 +68,8 @@ struct Timeline::Lane {
       case IntervalKind::kStage:
         totals.busy_us += us;
         ++totals.stage_count;
-        break;
-      case IntervalKind::kQueueStarved:
-        totals.queue_starved_us += us;
-        break;
-      case IntervalKind::kBackpressure:
-        totals.backpressure_us += us;
+        totals.last_stage_end_us =
+            std::max(totals.last_stage_end_us, interval.end_us);
         break;
       case IntervalKind::kLockWait:
         totals.lock_wait_us += us;

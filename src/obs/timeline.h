@@ -42,23 +42,15 @@ struct RunEvent;
 namespace pinscope::obs {
 
 /// What one recorded interval was spent on. kStage is busy time; the rest
-/// are the idle-attribution taxonomy (DESIGN §17). The run-to-completion
-/// scheduler (util/pipeline_scheduler.h) has no ready queue, so nothing
-/// records kQueueStarved or kBackpressure; both stay in the taxonomy so
-/// every report keeps one column per kind.
+/// are the idle-attribution taxonomy (DESIGN §17).
 enum class IntervalKind : std::uint8_t {
-  kStage,         ///< Running a stage body.
-  kQueueStarved,  ///< Blocked waiting for work to arrive.
-  kBackpressure,  ///< Blocked handing work to a full buffer.
-  kLockWait,      ///< Waiting on a contended TrackedMutex.
-  kTailJoin,      ///< From a worker's last chain end to the run's join.
-  kRampUp,        ///< From the run start to a worker's first claim.
+  kStage,     ///< Running a stage body.
+  kLockWait,  ///< Waiting on a contended TrackedMutex.
+  kTailJoin,  ///< From a worker's last chain end to the run's join.
+  kRampUp,    ///< From the run start to a worker's first claim.
 };
 
-/// Number of IntervalKind values (array sizing).
-inline constexpr std::size_t kIntervalKindCount = 6;
-
-/// Short lower-case label ("stage", "queue_starved", ...).
+/// Short lower-case label ("stage", "lock_wait", ...).
 [[nodiscard]] std::string_view IntervalKindName(IntervalKind kind);
 
 /// One sampled interval. `key` is the caller-defined 64-bit item identity
@@ -78,16 +70,15 @@ struct TimelineInterval {
 
 /// Exact (never sampled) per-worker totals, all in microseconds.
 struct TimelineWorkerTotals {
-  double busy_us = 0;           ///< kStage time (includes in-stage lock waits).
-  double queue_starved_us = 0;  ///< kQueueStarved time.
-  double backpressure_us = 0;   ///< kBackpressure time.
-  double lock_wait_us = 0;      ///< kLockWait time (ambient TrackedMutex).
-  double tail_join_us = 0;      ///< kTailJoin time.
-  double ramp_up_us = 0;        ///< kRampUp time.
+  double busy_us = 0;       ///< kStage time (includes in-stage lock waits).
+  double lock_wait_us = 0;  ///< kLockWait time (ambient TrackedMutex).
+  double tail_join_us = 0;  ///< kTailJoin time.
+  double ramp_up_us = 0;    ///< kRampUp time.
   std::uint64_t stage_count = 0;      ///< kStage intervals offered.
   std::uint64_t intervals_seen = 0;   ///< All intervals offered (reservoir n).
   std::int64_t first_us = 0;          ///< Earliest interval start (0 if none).
   std::int64_t last_us = 0;           ///< Latest interval end.
+  std::int64_t last_stage_end_us = 0; ///< Latest kStage end (0 if none).
 };
 
 struct TimelineOptions {

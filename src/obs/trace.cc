@@ -1,33 +1,12 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <tuple>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace pinscope::obs {
-
-namespace {
-
-std::string Escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 TraceSink::TraceSink() : origin_(std::chrono::steady_clock::now()) {}
 
@@ -48,12 +27,6 @@ std::uint32_t TraceSink::CurrentTid() {
 
 void TraceSink::Add(TraceEvent event) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  const std::size_t cap = max_events_.load(std::memory_order_relaxed);
-  if (cap != 0 &&
-      admitted_.fetch_add(1, std::memory_order_relaxed) >= cap) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   events_.Add(std::move(event));
 }
 
@@ -83,9 +56,9 @@ std::string TraceSink::ToJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "  {\"name\": \"";
-    out += Escape(e.name);
+    out += JsonEscape(e.name);
     out += "\", \"cat\": \"";
-    out += Escape(e.category);
+    out += JsonEscape(e.category);
     out += "\", \"ph\": \"X\", \"pid\": 1, \"tid\": ";
     out += std::to_string(e.tid);
     out += ", \"ts\": ";
@@ -97,9 +70,9 @@ std::string TraceSink::ToJson() const {
       for (std::size_t i = 0; i < e.args.size(); ++i) {
         if (i > 0) out += ", ";
         out += '"';
-        out += Escape(e.args[i].first);
+        out += JsonEscape(e.args[i].first);
         out += "\": \"";
-        out += Escape(e.args[i].second);
+        out += JsonEscape(e.args[i].second);
         out += '"';
       }
       out += "}";

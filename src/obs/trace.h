@@ -62,37 +62,16 @@ class TraceSink {
                    std::chrono::steady_clock::duration elapsed);
 
   /// Turns span collection off (or back on). Spans built against a disabled
-  /// sink still time themselves but Add() drops the event (silently — see
-  /// set_max_events for the counted variant), so memory stays constant. The
-  /// sink retains ~a few hundred bytes per recorded span, which is fine for
-  /// one study but linear in corpus size; firehose streaming runs
-  /// (DESIGN.md §15) bound the sink with set_max_events instead of turning
-  /// it off outright.
+  /// sink still time themselves but Add() drops the event, so memory stays
+  /// constant; SpanFor and the study chain skip a disabled sink outright.
+  /// The sink retains ~a few hundred bytes per recorded span, linear in
+  /// corpus size, so runs that write no trace (and firehose streaming runs,
+  /// DESIGN.md §15) turn it off.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Caps retained events: once `max` events have been admitted, further
-  /// Add() calls are dropped and counted (DroppedCount) instead of growing
-  /// memory — the head of the run survives, the firehose tail does not.
-  /// 0 = unlimited (default). Set before the run starts; the cap is
-  /// enforced with a relaxed admission counter that only advances while a
-  /// cap is in effect.
-  void set_max_events(std::size_t max) {
-    max_events_.store(max, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t max_events() const {
-    return max_events_.load(std::memory_order_relaxed);
-  }
-
-  /// Events dropped by the max_events cap (never counts set_enabled(false)
-  /// suppression, which is an explicit opt-out rather than an overflow).
-  /// Surfaced as the `trace.dropped_events` gauge when nonzero.
-  [[nodiscard]] std::size_t DroppedCount() const {
-    return dropped_.load(std::memory_order_relaxed);
   }
 
   /// Events recorded so far (approximate while spans are open).
@@ -109,9 +88,6 @@ class TraceSink {
 
   std::chrono::steady_clock::time_point origin_;
   std::atomic<bool> enabled_{true};
-  std::atomic<std::size_t> max_events_{0};
-  std::atomic<std::size_t> admitted_{0};
-  std::atomic<std::size_t> dropped_{0};
   ThreadBuffer<TraceEvent> events_;
 
   mutable std::mutex tid_mu_;

@@ -66,17 +66,18 @@ std::string WritePerfReportMarkdown(const PerfReportInput& input) {
   out += "\n";
 
   out += "## Critical path\n\n";
-  if (a.critical_path.empty()) {
+  if (a.critical_path_stages == 0) {
     out += "No stage intervals recorded.\n\n";
   } else {
-    out += "Longest dependency-respecting chain: " + Ms(a.critical_path_us) +
-           " ms across " + std::to_string(a.critical_path.size()) +
-           " segments (" + Pct(a.critical_path_us, a.wall_us) +
-           " of wall clock).\n\n";
+    out += "The worker that finished last ran " + Ms(a.critical_path_us) +
+           " ms of stages (" + Pct(a.critical_path_us, a.wall_us) +
+           " of wall clock) across " + std::to_string(a.critical_path_stages) +
+           " segments; " + std::to_string(a.critical_path.size()) +
+           " of them are sampled.\n\n";
     out += "| rank | platform | app | stage | worker | ms | % wall |\n";
     out += "|---:|---|---|---|---:|---:|---:|\n";
     const auto ranked = RankedSegments(a);
-    const std::size_t k = std::min<std::size_t>(ranked.size(), 10);
+    const std::size_t k = std::min(ranked.size(), obs::kAutopsyTopK);
     for (std::size_t i = 0; i < k; ++i) {
       const obs::CriticalSegment& s = *ranked[i];
       const obs::ItemLabel label = Resolve(input, s.key);
@@ -92,15 +93,15 @@ std::string WritePerfReportMarkdown(const PerfReportInput& input) {
   if (a.worker_breakdown.empty()) {
     out += "No per-worker intervals recorded.\n\n";
   } else {
-    out += "| worker | stages | busy | queue-starved | backpressure | "
-           "lock-wait | tail-join | ramp-up | other | busy % |\n";
-    out += "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
+    out += "| worker | stages | busy | lock-wait | tail-join | ramp-up | "
+           "other | busy % |\n";
+    out += "|---:|---:|---:|---:|---:|---:|---:|---:|\n";
     for (const obs::WorkerBreakdown& w : a.worker_breakdown) {
       out += "| " + std::to_string(w.worker) + " | " +
              std::to_string(w.stage_count) + " | " + Ms(w.busy_us) + " | " +
-             Ms(w.queue_starved_us) + " | " + Ms(w.backpressure_us) + " | " +
              Ms(w.lock_wait_us) + " | " + Ms(w.tail_join_us) + " | " +
-             Ms(w.ramp_up_us) + " | " + Ms(w.other_us) + " | " + Pct(w.busy_us, a.wall_us) + " |\n";
+             Ms(w.ramp_up_us) + " | " + Ms(w.other_us) + " | " +
+             Pct(w.busy_us, a.wall_us) + " |\n";
     }
     out += "\nAll durations in ms; buckets partition each worker's wall "
            "clock (DESIGN §17 idle taxonomy).\n\n";
@@ -166,6 +167,8 @@ std::string WritePerfReportJson(const PerfReportInput& input) {
     w.BeginObject();
     w.Key("total_us");
     w.Double(a.critical_path_us, 1);
+    w.Key("stages");
+    w.Int(static_cast<std::int64_t>(a.critical_path_stages));
     w.Key("segments");
     w.BeginArray();
     for (const obs::CriticalSegment& s : a.critical_path) {
@@ -198,10 +201,6 @@ std::string WritePerfReportJson(const PerfReportInput& input) {
       w.Int(static_cast<std::int64_t>(b.stage_count));
       w.Key("busy_us");
       w.Double(b.busy_us, 1);
-      w.Key("queue_starved_us");
-      w.Double(b.queue_starved_us, 1);
-      w.Key("backpressure_us");
-      w.Double(b.backpressure_us, 1);
       w.Key("lock_wait_us");
       w.Double(b.lock_wait_us, 1);
       w.Key("tail_join_us");

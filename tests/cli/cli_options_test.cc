@@ -199,33 +199,28 @@ TEST(ParseArgsTest, AutopsyDefaultsAreOff) {
   ASSERT_TRUE(opts.has_value());
   EXPECT_TRUE(opts->perf_report_path.empty());
   EXPECT_TRUE(opts->folded_path.empty());
-  EXPECT_EQ(opts->timeline_cap, 8192);
 }
 
 TEST(ParseArgsTest, AutopsyCommandParsesWithItsFlags) {
   const auto opts = Parse({"autopsy", "--scale", "0.05", "--threads", "4",
                            "--perf-report-out", "perf.md", "--folded-out",
-                           "stacks.folded", "--timeline-cap", "256"});
+                           "stacks.folded"});
   ASSERT_TRUE(opts.has_value());
   EXPECT_EQ(opts->command, "autopsy");
   EXPECT_DOUBLE_EQ(opts->scale, 0.05);
   EXPECT_EQ(opts->threads, 4);
   EXPECT_EQ(opts->perf_report_path, "perf.md");
   EXPECT_EQ(opts->folded_path, "stacks.folded");
-  EXPECT_EQ(opts->timeline_cap, 256);
 }
 
 TEST(ParseArgsTest, AutopsyFlagsAcceptBothSpellings) {
   for (const auto& args : std::vector<std::vector<std::string>>{
-           {"study", "--perf-report-out", "perf.md", "--folded-out", "f.txt",
-            "--timeline-cap", "1024"},
-           {"study", "--perf-report-out=perf.md", "--folded-out=f.txt",
-            "--timeline-cap=1024"}}) {
+           {"study", "--perf-report-out", "perf.md", "--folded-out", "f.txt"},
+           {"study", "--perf-report-out=perf.md", "--folded-out=f.txt"}}) {
     const auto opts = Parse(args);
     ASSERT_TRUE(opts.has_value());
     EXPECT_EQ(opts->perf_report_path, "perf.md");
     EXPECT_EQ(opts->folded_path, "f.txt");
-    EXPECT_EQ(opts->timeline_cap, 1024);
   }
 }
 
@@ -234,10 +229,6 @@ TEST(ParseArgsTest, AutopsyFlagsRejectBadValues) {
   EXPECT_FALSE(Parse({"study", "--perf-report-out="}).has_value());
   EXPECT_FALSE(Parse({"study", "--folded-out"}).has_value());
   EXPECT_FALSE(Parse({"study", "--folded-out="}).has_value());
-  EXPECT_FALSE(Parse({"study", "--timeline-cap"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--timeline-cap", "0"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--timeline-cap", "-8"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--timeline-cap", "plenty"}).has_value());
 }
 
 TEST(ParseArgsTest, RejectsUnknownOptions) {

@@ -32,8 +32,6 @@ util::RunEvent MakeEvent(util::RunEvent::Kind kind, std::uint32_t worker,
 
 TEST(TimelineTest, IntervalKindNamesAreStable) {
   EXPECT_EQ(IntervalKindName(IntervalKind::kStage), "stage");
-  EXPECT_EQ(IntervalKindName(IntervalKind::kQueueStarved), "queue_starved");
-  EXPECT_EQ(IntervalKindName(IntervalKind::kBackpressure), "backpressure");
   EXPECT_EQ(IntervalKindName(IntervalKind::kLockWait), "lock_wait");
   EXPECT_EQ(IntervalKindName(IntervalKind::kTailJoin), "tail_join");
   EXPECT_EQ(IntervalKindName(IntervalKind::kRampUp), "ramp_up");
@@ -45,8 +43,8 @@ TEST(TimelineTest, TotalsAccumulateExactlyPerKindAndWorker) {
   timeline.RecordIdle(/*worker=*/0, IntervalKind::kRampUp, 4, 10);
   timeline.RecordStage(/*worker=*/0, /*key=*/7, stage, 10, 110);
   timeline.RecordStage(0, 8, stage, 110, 160);
-  timeline.RecordIdle(0, IntervalKind::kQueueStarved, 160, 200);
-  timeline.RecordIdle(1, IntervalKind::kBackpressure, 0, 25);
+  timeline.RecordIdle(0, IntervalKind::kTailJoin, 160, 200);
+  timeline.RecordIdle(1, IntervalKind::kRampUp, 0, 25);
   timeline.RecordIdle(1, IntervalKind::kTailJoin, 25, 30);
   // RecordLockWait stamps [now - wait, now] against the real timeline
   // clock; let it advance past the wait so nothing clamps at zero.
@@ -56,20 +54,22 @@ TEST(TimelineTest, TotalsAccumulateExactlyPerKindAndWorker) {
 
   const TimelineWorkerTotals w0 = timeline.TotalsFor(0);
   EXPECT_DOUBLE_EQ(w0.busy_us, 150.0);
-  EXPECT_DOUBLE_EQ(w0.queue_starved_us, 40.0);
+  EXPECT_DOUBLE_EQ(w0.tail_join_us, 40.0);
   EXPECT_DOUBLE_EQ(w0.lock_wait_us, 0.0);
   EXPECT_DOUBLE_EQ(w0.ramp_up_us, 6.0);
   EXPECT_EQ(w0.stage_count, 2u);
   EXPECT_EQ(w0.intervals_seen, 4u);
   EXPECT_EQ(w0.first_us, 4);
   EXPECT_EQ(w0.last_us, 200);
+  EXPECT_EQ(w0.last_stage_end_us, 160);
 
   const TimelineWorkerTotals w1 = timeline.TotalsFor(1);
   EXPECT_DOUBLE_EQ(w1.busy_us, 0.0);
-  EXPECT_DOUBLE_EQ(w1.backpressure_us, 25.0);
+  EXPECT_DOUBLE_EQ(w1.ramp_up_us, 25.0);
   EXPECT_DOUBLE_EQ(w1.tail_join_us, 5.0);
   EXPECT_DOUBLE_EQ(w1.lock_wait_us, 12.0);
   EXPECT_EQ(w1.stage_count, 0u);
+  EXPECT_EQ(w1.last_stage_end_us, 0);
 
   EXPECT_EQ(timeline.WorkerCount(), 2u);
   EXPECT_EQ(timeline.IntervalsSeen(), 7u);

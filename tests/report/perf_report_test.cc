@@ -29,17 +29,18 @@ obs::Autopsy FixedAutopsy() {
   obs::CriticalSegment second;
   second.key = (std::uint64_t{1} << 48) | 5;
   second.stage = "dynamic";
-  second.worker = 1;
+  second.worker = 0;
   second.start_us = 4000;
   second.end_us = 9500;
   a.critical_path = {first, second};
   a.critical_path_us = 9500;
+  a.critical_path_stages = 2;
 
   obs::WorkerBreakdown w0;
   w0.worker = 0;
   w0.busy_us = 9000;
-  w0.queue_starved_us = 600;
   w0.lock_wait_us = 150;
+  w0.tail_join_us = 600;
   w0.ramp_up_us = 50;
   w0.other_us = 200;
   w0.stage_count = 4;

@@ -85,18 +85,6 @@ std::unique_ptr<obs::Telemetry> StartTelemetry(const CliOptions& opts,
 /// format instead of JSON.
 void EmitObservability(obs::Observer& observer, const CliOptions& opts) {
   obs::PublishPeakRss(&observer.metrics());
-  // Published only when the trace cap actually dropped events, so a normal
-  // (unbounded or under-cap) run's summary is unchanged.
-  if (const std::size_t dropped = observer.trace().DroppedCount();
-      dropped > 0) {
-    observer.metrics()
-        .gauge("trace.dropped_events")
-        .Set(static_cast<std::uint64_t>(dropped));
-    std::fprintf(stderr,
-                 "warning: trace buffer full — %zu event(s) dropped "
-                 "(cap %zu); raise the cap or write metrics-only\n",
-                 dropped, observer.trace().max_events());
-  }
   const obs::MetricsSnapshot snapshot = observer.metrics().Snapshot();
   if (opts.summary) std::printf("%s", obs::RenderSummary(snapshot).c_str());
   if (!opts.metrics_path.empty()) {
@@ -129,26 +117,19 @@ bool WantsAutopsy(const CliOptions& opts) {
          opts.command == "autopsy";
 }
 
-/// Builds the timeline the perf surfaces consume, or nullptr when none was
-/// requested.
-std::unique_ptr<obs::Timeline> StartTimeline(const CliOptions& opts) {
-  if (!WantsAutopsy(opts)) return nullptr;
-  obs::TimelineOptions topts;
-  topts.per_worker_cap = static_cast<std::size_t>(opts.timeline_cap);
-  return std::make_unique<obs::Timeline>(topts);
-}
-
-/// Everything a study-running command attaches to its run: the observer,
-/// the decision journal (kept when --log-out or --report-out needs it), the
-/// live telemetry and the autopsy timeline, wired into `study`.
+/// Everything a study-running command attaches to its run: the observer
+/// (its trace kept only for --trace-out), the decision journal (kept when
+/// --log-out or --report-out needs it), the live telemetry and the autopsy
+/// timeline, wired into `study`.
 struct RunContext {
   explicit RunContext(const CliOptions& opts) {
+    observer.trace().set_enabled(!opts.trace_path.empty());
     if (!opts.log_path.empty() || !opts.report_path.empty()) {
       log.emplace(opts.log_level);
       observer.set_log(&*log);
     }
     telemetry = StartTelemetry(opts, observer);
-    timeline = StartTimeline(opts);
+    if (WantsAutopsy(opts)) timeline = std::make_unique<obs::Timeline>();
     study.threads = opts.threads;
     study.scan_cache = opts.scan_cache;
     study.sim_cache = opts.sim_cache;
@@ -309,7 +290,8 @@ int Usage() {
       "  audit APP_ID        audit one app (static + dynamic + circumvention)\n"
       "  tables              print every paper table\n"
       "  autopsy             run the study with the interval timeline attached\n"
-      "                      and print the causal profile: critical path,\n"
+      "                      and print the causal profile: the critical path\n"
+      "                      (the stages of the worker that finished last),\n"
       "                      per-worker idle attribution, slowest apps, and\n"
       "                      contended locks\n"
       "  longitudinal        advance the store through churn epochs and print\n"
@@ -347,7 +329,8 @@ int Usage() {
       "                      (default 250)\n"
       "  --trace-out FILE    write a Chrome trace_event JSON of study/app/phase\n"
       "                      spans; open in chrome://tracing or\n"
-      "                      https://ui.perfetto.dev\n"
+      "                      https://ui.perfetto.dev (spans are kept only\n"
+      "                      when this flag is given)\n"
       "  --log-out FILE      write the deterministic decision journal as JSON\n"
       "                      Lines; byte-identical for every --threads value\n"
       "                      (see DESIGN.md §12)\n"
@@ -380,10 +363,7 @@ int Usage() {
       "                      byte-identical — DESIGN.md §17)\n"
       "  --folded-out FILE   write collapsed stacks ('platform;app;stage\n"
       "                      weight_us' lines) for flamegraph.pl or\n"
-      "                      speedscope\n"
-      "  --timeline-cap N    per-worker interval-reservoir capacity (default\n"
-      "                      8192); timeline memory is O(workers x N) at any\n"
-      "                      corpus size\n");
+      "                      speedscope\n");
   return 2;
 }
 
